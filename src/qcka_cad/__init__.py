@@ -7,16 +7,7 @@ and a desk-scale statevector verifier for the quantum facts the analysis
 rests on.
 """
 
-from .bitcore import (
-    BitString,
-    IndexSubset,
-    binary_entropy,
-    hamming_ball_log_volume,
-    hamming_ball_log_volume_bound,
-    relative_weight,
-    substring,
-    substring_complement,
-)
+from .bitcore import BitString, binary_entropy
 from .ghzsim import (
     DEFAULT_QUBIT_CAP,
     StateVector,
@@ -63,13 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitString",
-    "IndexSubset",
     "binary_entropy",
-    "hamming_ball_log_volume",
-    "hamming_ball_log_volume_bound",
-    "relative_weight",
-    "substring",
-    "substring_complement",
     "DEFAULT_QUBIT_CAP",
     "StateVector",
     "ghz_state",

@@ -1,4 +1,4 @@
-"""Binary-word primitives and entropy/combinatorics helpers.
+"""Binary words and the binary entropy function.
 
 Words are fixed-length sequences of bits with 1-based positions, matching
 the convention used throughout the protocol analysis: position 1 is the
@@ -13,16 +13,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-__all__ = [
-    "BitString",
-    "IndexSubset",
-    "relative_weight",
-    "substring",
-    "substring_complement",
-    "binary_entropy",
-    "hamming_ball_log_volume",
-    "hamming_ball_log_volume_bound",
-]
+__all__ = ["BitString", "binary_entropy"]
 
 
 class BitString:
@@ -90,98 +81,9 @@ class BitString:
         """Number of ones in the word."""
         return int(self._bits.sum())
 
-    @property
-    def relative_weight(self) -> float:
-        """Fraction of ones in the word, in [0, 1]."""
-        return self.weight / len(self)
-
     def to_array(self) -> np.ndarray:
         """Bits as a fresh uint8 array."""
         return self._bits.copy()
-
-    def substring(self, t: "IndexSubset") -> "BitString":
-        """The sub-word at the 1-based positions of ``t``, in order."""
-        if t.universe_size != len(self):
-            raise ValueError(
-                f"subset universe {t.universe_size} != word length {len(self)}"
-            )
-        idx = np.fromiter(t.indices, dtype=np.int64) - 1
-        return BitString(self._bits[idx])
-
-    def substring_complement(self, t: "IndexSubset") -> "BitString":
-        """The sub-word at the positions NOT in ``t``, in order."""
-        return self.substring(t.complement())
-
-
-class IndexSubset:
-    """A strictly increasing set of 1-based positions inside {1..N}."""
-
-    __slots__ = ("_indices", "_universe")
-
-    def __init__(self, indices: Iterable[int], universe_size: int):
-        idx = tuple(sorted(int(i) for i in indices))
-        if universe_size < 1:
-            raise ValueError("universe size must be positive")
-        if len(set(idx)) != len(idx):
-            raise ValueError("indices must be distinct")
-        if idx and (idx[0] < 1 or idx[-1] > universe_size):
-            raise ValueError(f"indices must lie in [1, {universe_size}]")
-        object.__setattr__(self, "_indices", idx)
-        object.__setattr__(self, "_universe", int(universe_size))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IndexSubset is immutable")
-
-    @property
-    def indices(self) -> tuple:
-        return self._indices
-
-    @property
-    def universe_size(self) -> int:
-        return self._universe
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._indices)
-
-    def __contains__(self, i: int) -> bool:
-        return i in set(self._indices)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IndexSubset):
-            return NotImplemented
-        return self._indices == other._indices and self._universe == other._universe
-
-    def __hash__(self) -> int:
-        return hash((self._indices, self._universe))
-
-    def __repr__(self) -> str:
-        return f"IndexSubset({self._indices}, universe_size={self._universe})"
-
-    def complement(self) -> "IndexSubset":
-        """Positions of {1..N} not in this subset."""
-        present = set(self._indices)
-        rest = tuple(i for i in range(1, self._universe + 1) if i not in present)
-        return IndexSubset(rest, self._universe)
-
-
-def relative_weight(q: BitString) -> float:
-    """Fraction of ones in ``q``: weight(q) / len(q)."""
-    if len(q) == 0:  # unreachable through the constructor; kept as the contract
-        raise ValueError("empty word")
-    return q.relative_weight
-
-
-def substring(q: BitString, t: IndexSubset) -> BitString:
-    """Sub-word of ``q`` at the positions of ``t``."""
-    return q.substring(t)
-
-
-def substring_complement(q: BitString, t: IndexSubset) -> BitString:
-    """Sub-word of ``q`` at the positions outside ``t``."""
-    return q.substring_complement(t)
 
 
 def binary_entropy(x: float) -> float:
@@ -196,27 +98,3 @@ def binary_entropy(x: float) -> float:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
-
-def hamming_ball_log_volume(n: int, k: int) -> float:
-    """log2 of the number of n-bit words with at most k ones.
-
-    Computed exactly with arbitrary-precision integers, so it is safe for
-    any n where the binomial sum itself is representable.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    total = sum(math.comb(n, i) for i in range(k + 1))
-    return math.log2(total)
-
-
-def hamming_ball_log_volume_bound(n: int, k: int) -> float:
-    """The entropy upper bound n*h(k/n) on :func:`hamming_ball_log_volume`.
-
-    Valid (and only defined here) for k <= n/2, where it dominates the
-    exact value.
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    if 2 * k > n:
-        raise ValueError("entropy bound requires k <= n/2")
-    return n * binary_entropy(k / n)

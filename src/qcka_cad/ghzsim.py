@@ -172,8 +172,10 @@ def hadamard_transform(state: StateVector) -> StateVector:
 
 
 def _index_parity(idx: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each index (XOR fold, 16-bit range)."""
+    """Parity of the set bits of each non-negative int64 index (XOR fold)."""
     v = idx.astype(np.int64)
+    v ^= v >> 32
+    v ^= v >> 16
     v ^= v >> 8
     v ^= v >> 4
     v ^= v >> 2

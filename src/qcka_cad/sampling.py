@@ -4,9 +4,9 @@ The protocol estimates an error rate on a random size-m subset of N
 positions and needs the observed rate to be within delta of the rate on
 the unobserved complement, except with a failure probability that decays
 like ``2 exp(-delta^2 m N / (N + 2))``.  This module provides that bound,
-its inverse (the delta needed for a target failure probability), and an
-empirical estimator used as an oracle against the bound on small
-instances.
+its inverse (the delta needed for a target failure probability), and the
+exact failure probability of a fixed word, a hypergeometric tail sum used
+as an oracle against the bound.
 
 Failure probabilities reach 1e-72 in production parameter ranges, so the
 bound is also exposed in log space.
@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
-
-import numpy as np
 
 from .bitcore import BitString
 
@@ -30,9 +27,6 @@ __all__ = [
     "delta_from_epsilon",
     "empirical_sampling_failure",
 ]
-
-EXHAUSTIVE_SUBSET_LIMIT = 10**6
-_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -92,72 +86,32 @@ def delta_from_epsilon(population: int, sample_size: int, epsilon: float) -> flo
     return math.sqrt((population + 2.0) * log_term / (sample_size * population))
 
 
-def _exhaustive_failure(bits: np.ndarray, m: int, delta: float) -> float:
-    n_pop = bits.size
-    rest = n_pop - m
-    failures = 0
-    total = 0
-    gen = combinations(range(n_pop), m)
-    while True:
-        chunk = list(islice(gen, _CHUNK))
-        if not chunk:
-            break
-        idx = np.asarray(chunk, dtype=np.int64)
-        wt_t = bits[idx].sum(axis=1)
-        wt_rest = bits.sum() - wt_t
-        gap = np.abs(wt_t / m - wt_rest / rest)
-        failures += int((gap > delta).sum())
-        total += len(chunk)
-    return failures / total
-
-
-def _monte_carlo_failure(
-    bits: np.ndarray, m: int, delta: float, trials: int, seed: int
-) -> float:
-    n_pop = bits.size
-    rest = n_pop - m
-    total_weight = bits.sum()
-    # Fixed-size chunks with spawned substreams keep the estimate
-    # deterministic while allowing chunks to be evaluated concurrently.
-    streams = np.random.SeedSequence(seed).spawn(math.ceil(trials / _CHUNK))
-    failures = 0
-    done = 0
-    for stream in streams:
-        size = min(_CHUNK, trials - done)
-        rng = np.random.Generator(np.random.Philox(stream))
-        keys = rng.random((size, n_pop))
-        # The m smallest keys per row form a uniform random m-subset.
-        idx = np.argpartition(keys, m - 1, axis=1)[:, :m]
-        wt_t = bits[idx].sum(axis=1)
-        gap = np.abs(wt_t / m - (total_weight - wt_t) / rest)
-        failures += int((gap > delta).sum())
-        done += size
-    return failures / trials
-
-
-def empirical_sampling_failure(
-    q: BitString,
-    sample_size: int,
-    delta: float,
-    *,
-    trials: int = 100_000,
-    seed: int = 0,
-    exhaustive_limit: int = EXHAUSTIVE_SUBSET_LIMIT,
-) -> float:
+def empirical_sampling_failure(q: BitString, sample_size: int, delta: float) -> float:
     """Probability that a random size-m subset's weight gap exceeds delta.
 
-    For a fixed word ``q`` of length N, draws uniform size-``sample_size``
-    subsets t and reports how often ``|w(q_t) - w(q_{-t})| > delta``.
-    Enumerates all subsets exactly when there are at most
-    ``exhaustive_limit`` of them, otherwise falls back to ``trials``
-    seeded Monte Carlo draws.
+    For a fixed word ``q`` of length N and weight w, a uniform
+    size-``sample_size`` subset t holds k ones with the hypergeometric
+    weight ``C(w, k) C(N - w, m - k) / C(N, m)``.  The result is that
+    exact sum over every k with ``|k/m - (w - k)/(N - m)| > delta``,
+    i.e. the fraction of all m-subsets t with
+    ``|w(q_t) - w(q_{-t})| > delta``.  The counts are integers and the
+    final quotient is correctly rounded, so the value is bit-identical to
+    enumerating every subset.
     """
     n_pop = len(q)
-    if 2 * sample_size >= n_pop:
+    m = sample_size
+    if m < 1:
+        raise ValueError("sample size must be positive")
+    if 2 * m >= n_pop:
         raise ValueError("sample size must satisfy m < N/2")
-    bits = q.to_array().astype(np.int64)
-    if math.comb(n_pop, sample_size) <= exhaustive_limit:
-        return _exhaustive_failure(bits, sample_size, delta)
-    if trials < 1:
-        raise ValueError("trials must be positive for Monte Carlo estimation")
-    return _monte_carlo_failure(bits, sample_size, delta, trials, seed)
+    w = q.weight
+    rest = n_pop - m
+    k_lo = max(0, m - (n_pop - w))
+    term = math.comb(w, k_lo) * math.comb(n_pop - w, m - k_lo)
+    failures = 0
+    for k in range(k_lo, min(w, m) + 1):
+        if abs(k / m - (w - k) / rest) > delta:
+            failures += term
+        # C(w, k+1) C(N-w, m-k-1) from C(w, k) C(N-w, m-k); the quotient is exact.
+        term = term * (w - k) * (m - k) // ((k + 1) * (n_pop - w - m + k + 1))
+    return failures / math.comb(n_pop, m)

@@ -1,20 +1,9 @@
-"""Tests for the binary-word primitives and entropy helpers."""
-
-import math
+"""Tests for the binary words and the binary entropy function."""
 
 import numpy as np
 import pytest
 
-from qcka_cad.bitcore import (
-    BitString,
-    IndexSubset,
-    binary_entropy,
-    hamming_ball_log_volume,
-    hamming_ball_log_volume_bound,
-    relative_weight,
-    substring,
-    substring_complement,
-)
+from qcka_cad.bitcore import BitString, binary_entropy
 
 # 50-digit reference evaluation of -x log2 x - (1-x) log2 (1-x) at x = 0.18.
 H_018 = 0.6800770457282798
@@ -73,76 +62,6 @@ class TestBitString:
         assert q.bit(1) == 0
 
 
-class TestRelativeWeight:
-    def test_all_zero(self):
-        assert relative_weight(BitString("0000")) == 0.0
-
-    def test_all_one(self):
-        assert relative_weight(BitString("1111")) == 1.0
-
-    def test_half(self):
-        assert relative_weight(BitString("0110")) == 0.5
-
-    def test_matches_definition_exactly(self):
-        # The relative weight is the float quotient weight/length itself;
-        # multiplying back can drift by an ulp (e.g. 15/22), so the exact
-        # identity is with the quotient.
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(1, 200))
-            q = BitString(rng.integers(0, 2, size=n, dtype=np.uint8))
-            assert relative_weight(q) == q.weight / n
-            assert abs(relative_weight(q) * n - q.weight) < 1e-9
-            assert 0.0 <= relative_weight(q) <= 1.0
-
-
-class TestIndexSubset:
-    def test_sorted_and_distinct(self):
-        t = IndexSubset([3, 1], 5)
-        assert t.indices == (1, 3)
-        with pytest.raises(ValueError, match="distinct"):
-            IndexSubset([1, 1], 5)
-
-    def test_range_checked(self):
-        with pytest.raises(ValueError):
-            IndexSubset([0], 5)
-        with pytest.raises(ValueError):
-            IndexSubset([6], 5)
-
-    def test_complement_partitions_universe(self):
-        t = IndexSubset([2, 4], 6)
-        c = t.complement()
-        assert c.indices == (1, 3, 5, 6)
-        assert sorted(t.indices + c.indices) == list(range(1, 7))
-        assert set(t.indices).isdisjoint(c.indices)
-
-
-class TestSubstring:
-    def test_direct_read_off(self):
-        q = BitString("10110")
-        t = IndexSubset([1, 3], 5)
-        assert substring(q, t) == BitString("11")
-        assert substring_complement(q, t) == BitString("010")
-
-    def test_identity_subset(self):
-        q = BitString("10110")
-        t = IndexSubset([1, 2, 3, 4, 5], 5)
-        assert substring(q, t) == q
-
-    def test_universe_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            substring(BitString("10110"), IndexSubset([1, 3], 6))
-
-    def test_weight_splits_across_subset(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            n = int(rng.integers(2, 64))
-            q = BitString(rng.integers(0, 2, size=n, dtype=np.uint8))
-            size = int(rng.integers(1, n))
-            t = IndexSubset(rng.choice(n, size=size, replace=False) + 1, n)
-            assert substring(q, t).weight + substring_complement(q, t).weight == q.weight
-
-
 class TestBinaryEntropy:
     def test_degenerate(self):
         assert binary_entropy(0.0) == 0.0
@@ -175,35 +94,3 @@ class TestBinaryEntropy:
                 assert mid >= chord - 1e-12
         assert all(binary_entropy(float(x)) <= 1.0 for x in grid)
 
-
-class TestHammingBallLogVolume:
-    def test_zero_radius(self):
-        assert hamming_ball_log_volume(10, 0) == 0.0
-
-    def test_whole_cube(self):
-        assert hamming_ball_log_volume(10, 10) == 10.0
-
-    def test_small_ball_against_enumeration(self):
-        # Independent oracle: count all 10-bit words of weight <= 2.
-        count = sum(
-            1 for w in range(1 << 10) if bin(w).count("1") <= 2
-        )
-        assert count == 56
-        assert hamming_ball_log_volume(10, 2) == pytest.approx(math.log2(count), abs=1e-12)
-        assert hamming_ball_log_volume(10, 2) == pytest.approx(5.807, abs=1e-3)
-        assert hamming_ball_log_volume_bound(10, 2) == pytest.approx(7.219, abs=1e-3)
-
-    def test_exact_below_entropy_bound_exhaustive(self):
-        for n in range(1, 31):
-            for k in range(0, n // 2 + 1):
-                exact = hamming_ball_log_volume(n, k)
-                bound = hamming_ball_log_volume_bound(n, k)
-                assert exact <= bound + 1e-12
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            hamming_ball_log_volume(10, 11)
-        with pytest.raises(ValueError):
-            hamming_ball_log_volume(10, -1)
-        with pytest.raises(ValueError, match="n/2"):
-            hamming_ball_log_volume_bound(10, 6)

@@ -41,6 +41,19 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert "even" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--signals", "1e400", "--q", "0", "--qz", "0"),
+        ("rate", "--signals", "inf", "--q", "0", "--qz", "0"),
+        ("rate", "--signals", "1e6", "--q", "0", "--qz", "0", "--m", "1e400"),
+        ("simulate", "--signals", "1e4", "--m", "100", "--q", "0", "--qz", "0",
+         "--trials", "inf"),
+    ])
+    def test_non_finite_integers_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_qz_length_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "rate", "--p", "3", "--signals", "1e6", "--q", "0.1", "--qz", "0.1,0.2"
@@ -180,7 +193,7 @@ class TestSelftest:
         code, out, _ = run_cli(capsys, "selftest", "--quick")
         assert code == EXIT_OK
         lines = out.strip().split("\n")
-        assert len(lines) == 8
+        assert len(lines) == 7
         assert all(line.startswith("PASS") for line in lines)
 
     def test_json_output(self, capsys):
@@ -221,6 +234,9 @@ class TestReproducibility:
         assert outputs[0] != outputs[1]
 
 
+RATE_ARGV = ("rate", "--p", "1", "--signals", "1e6", "--q", "0.1", "--qz", "0.1")
+
+
 class TestConfigFile:
     def test_overrides_flags(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -232,6 +248,19 @@ class TestConfigFile:
         record = dict(zip(REPORT_FIELDS, next(csv.reader(io.StringIO(out.split(chr(10))[1])))))
         assert record["q"] == "0.05"
         assert record["m"] == "100000"
+
+    @pytest.mark.parametrize("argv, line", [
+        (RATE_ARGV, "format = xml"),
+        (RATE_ARGV, "error_formula = both"),
+        (("selftest", "--quick"), "quick = maybe"),
+    ])
+    def test_invalid_value_rejected(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# bad value\n{line}\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: {cfg}:2: ")
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

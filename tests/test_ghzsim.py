@@ -8,6 +8,7 @@ import pytest
 
 from qcka_cad.ghzsim import (
     StateVector,
+    _index_parity,
     cad_delayed_measurement_equivalence,
     cad_record_distribution,
     compose,
@@ -95,6 +96,20 @@ class TestParityDistribution:
                     dist = x_basis_parity_distribution(ghz_state(p, bits, y))
                     assert dist[y] == pytest.approx(1.0, abs=1e-12)
                     assert dist[1 - y] == pytest.approx(0.0, abs=1e-12)
+
+    def test_point_mass_beyond_sixteen_qubits(self):
+        # Indices of 17 and 18 qubits have set bits above bit 15.
+        for p in (16, 17):
+            for y in (0, 1):
+                dist = x_basis_parity_distribution(ghz_state(p, [0] * p, y, cap=18))
+                assert dist[y] == pytest.approx(1.0, abs=1e-12)
+                assert dist[1 - y] == pytest.approx(0.0, abs=1e-12)
+
+    def test_index_parity_covers_int64(self):
+        rng = np.random.default_rng(17)
+        idx = np.concatenate([1 << np.arange(63), rng.integers(0, 2**63 - 1, size=200)])
+        expect = [bin(int(i)).count("1") % 2 for i in idx]
+        assert _index_parity(idx).tolist() == expect
 
     def test_all_zero_state_is_uniform(self):
         for k in range(1, 6):

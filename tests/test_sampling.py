@@ -1,5 +1,6 @@
-"""Tests for the subset-sampling deviation bounds and their empirical oracle."""
+"""Tests for the subset-sampling deviation bounds and their exact oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -85,6 +86,29 @@ class TestDeltaFromEpsilon:
             delta_from_epsilon(100, 10, 1.0)
 
 
+def enumerated_failure(q, m, delta):
+    """Fraction of all m-subsets whose weight gap exceeds delta, by enumeration."""
+    bits = list(q)
+    n_pop, weight = len(bits), sum(bits)
+    failures = total = 0
+    for subset in itertools.combinations(range(n_pop), m):
+        k = sum(bits[i] for i in subset)
+        failures += abs(k / m - (weight - k) / (n_pop - m)) > delta
+        total += 1
+    return failures / total
+
+
+def comb_sum_failure(q, m, delta):
+    """The hypergeometric failure sum with one math.comb call per term."""
+    n_pop, weight = len(q), q.weight
+    failing = sum(
+        math.comb(weight, k) * math.comb(n_pop - weight, m - k)
+        for k in range(m + 1)
+        if abs(k / m - (weight - k) / (n_pop - m)) > delta
+    )
+    return failing / math.comb(n_pop, m)
+
+
 class TestEmpiricalSamplingFailure:
     def test_all_zero_word_never_fails(self):
         q = BitString("0" * 20)
@@ -108,42 +132,62 @@ class TestEmpiricalSamplingFailure:
                 exact = empirical_sampling_failure(q, m, 0.25)
                 assert exact <= bound
 
-    def test_monte_carlo_within_bound_at_n200(self):
+    def test_exact_within_bound_at_n200(self):
         q = BitString("01" * 100)
-        trials = 100_000
-        estimate = empirical_sampling_failure(q, 50, 0.25, trials=trials, seed=1)
-        bound = epsilon_cl_bound(SamplingParams(200, 50, 0.25))
-        sigma = math.sqrt(max(estimate, 1.0 / trials) * (1 - estimate) / trials)
-        assert estimate <= bound + 3 * sigma
+        exact = empirical_sampling_failure(q, 50, 0.25)
+        assert exact == pytest.approx(0.0017477798285438092, rel=1e-12)
+        assert exact <= epsilon_cl_bound(SamplingParams(200, 50, 0.25))
 
-    def test_monte_carlo_within_bound_at_n500(self):
+    def test_exact_within_bound_at_n500(self):
         rng = np.random.default_rng(55)
         q = BitString(rng.integers(0, 2, size=500, dtype=np.uint8))
-        trials = 50_000
-        estimate = empirical_sampling_failure(q, 125, 0.2, trials=trials, seed=6)
-        bound = epsilon_cl_bound(SamplingParams(500, 125, 0.2))
-        sigma = math.sqrt(max(estimate, 1.0 / trials) * (1 - estimate) / trials)
-        assert estimate <= bound + 3 * sigma
+        exact = empirical_sampling_failure(q, 125, 0.2)
+        assert exact <= epsilon_cl_bound(SamplingParams(500, 125, 0.2))
 
-    def test_monte_carlo_deterministic(self):
-        q = BitString("0011" * 50)
-        a = empirical_sampling_failure(q, 40, 0.2, trials=5000, seed=9)
-        b = empirical_sampling_failure(q, 40, 0.2, trials=5000, seed=9)
-        assert a == b
+    def test_matches_enumeration(self):
+        # The battery's instances, plus a half-block word.
+        rng = np.random.default_rng(3)
+        for n_pop, m in ((16, 4), (20, 5), (24, 6)):
+            for q in (
+                BitString("01" * (n_pop // 2)),
+                BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
+                BitString("1" * (n_pop // 2) + "0" * (n_pop - n_pop // 2)),
+            ):
+                for delta in (0.25, 0.4):
+                    assert empirical_sampling_failure(q, m, delta) == enumerated_failure(q, m, delta)
 
-    def test_monte_carlo_matches_exhaustive(self):
-        # Force the Monte Carlo path on an instance small enough to
-        # enumerate, and check agreement within 3 binomial sigma.
-        q = BitString("0110100110010110")  # N = 16
-        m, delta = 4, 0.3
-        exact = empirical_sampling_failure(q, m, delta)
-        trials = 40_000
-        mc = empirical_sampling_failure(
-            q, m, delta, trials=trials, seed=3, exhaustive_limit=0
+    def test_matches_enumeration_on_random_words(self):
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n_pop = int(rng.integers(3, 15))
+            m = int(rng.integers(1, (n_pop + 1) // 2))
+            q = BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8))
+            delta = float(rng.uniform(0.0, 0.8))
+            assert empirical_sampling_failure(q, m, delta) == enumerated_failure(q, m, delta)
+
+    def test_gap_equal_to_delta_is_not_a_failure(self):
+        # N=16, m=4, w=8: one sampled one gives the gap |1/4 - 7/12|.  At
+        # that delta those subsets pass; just below it they fail.
+        q = BitString("01" * 8)
+        delta = abs(1 / 4 - 7 / 12)
+        at_gap = empirical_sampling_failure(q, 4, delta)
+        below = empirical_sampling_failure(q, 4, math.nextafter(delta, 0.0))
+        assert at_gap == enumerated_failure(q, 4, delta)
+        assert below == enumerated_failure(q, 4, math.nextafter(delta, 0.0))
+        assert at_gap < below
+
+    def test_matches_comb_sum_at_n200_and_n500(self):
+        rng = np.random.default_rng(55)
+        cases = (
+            (BitString("01" * 100), 50, 0.25),
+            (BitString(rng.integers(0, 2, size=500, dtype=np.uint8)), 125, 0.2),
+            (BitString("0011" * 125), 200, 0.05),
         )
-        sigma = math.sqrt(max(exact, 1.0 / trials) * (1 - exact) / trials)
-        assert abs(mc - exact) <= 3 * sigma
+        for q, m, delta in cases:
+            assert empirical_sampling_failure(q, m, delta) == comb_sum_failure(q, m, delta)
 
     def test_sample_size_validated(self):
         with pytest.raises(ValueError, match="m < N/2"):
             empirical_sampling_failure(BitString("0101"), 2, 0.1)
+        with pytest.raises(ValueError, match="positive"):
+            empirical_sampling_failure(BitString("0101"), 0, 0.1)
