@@ -6,13 +6,14 @@ rate       one key-rate report for a single parameter point
 sweep-q    rate vs X-error at fixed signal count (CSV table)
 sweep-n    rate vs total signal count at fixed noise (CSV table)
 simulate   Monte Carlo trials with analytic columns for comparison
-selftest   statevector and sampling verification battery
+selftest   the verification battery of :mod:`qcka_cad.verify`
 
 Exit codes: 0 success / positive rate, 1 usage error, 2 zero rate,
-3 self-test failure.  Every command accepts ``--seed`` and produces
-byte-identical output for identical invocations.  CSV output is
-RFC-4180-style with an LF line ending and floats printed to 12
-significant digits; ``--format json`` emits the same fields as JSON.
+3 self-test failure (a failing or a raising check).  Every command
+accepts ``--seed`` and produces byte-identical output for identical
+invocations.  CSV output is RFC-4180-style with an LF line ending and
+floats printed to 12 significant digits; ``--format json`` emits the
+same fields as JSON.
 A ``--config FILE`` of flat ``key = value`` lines overrides flags.
 """
 
@@ -21,16 +22,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import ghzsim, sampling
-from .bitcore import BitString
 from .keyrate import KeyRateReport, key_length, optimize_m
 from .protosim import (
     NoiseModel,
@@ -41,8 +38,9 @@ from .protosim import (
     postcad_error_rates,
     run_trial,
 )
+from .verify import CheckError, selftest_checks
 
-__all__ = ["main", "REPORT_FIELDS", "simulate_fields", "selftest_checks", "CheckResult"]
+__all__ = ["main", "REPORT_FIELDS", "simulate_fields"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -160,6 +158,7 @@ class _Parser(argparse.ArgumentParser):
 
 FORMATS = ("csv", "json")
 ERROR_FORMULAS = ("conservative", "independent")
+MAX_SWEEP_POINTS = 1000  # sweep-n grid size; each point is one test-size search
 
 
 def _parse_signals(text: str) -> int:
@@ -238,15 +237,15 @@ def _apply_config(args: argparse.Namespace, path: str) -> None:
                 raise _CliError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _parse_qz(text: str, bobs: int) -> tuple:
+def _parse_qz(text: str, bobs: int, flag: str = "--qz") -> tuple:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise _CliError("empty --qz value")
+        raise _CliError(f"empty {flag} value")
     values = [float(p) for p in parts]
     if len(values) == 1:
         values = values * bobs
     if len(values) != bobs:
-        raise _CliError(f"--qz needs 1 or {bobs} values, got {len(values)}")
+        raise _CliError(f"{flag} needs 1 or {bobs} values, got {len(values)}")
     return tuple(values)
 
 
@@ -355,23 +354,18 @@ def cmd_sweep_q(args) -> int:
         raise _CliError("need q-min <= q-max and a positive q-step")
     count = int(math.floor((args.q_max - args.q_min) / args.q_step + 1e-9)) + 1
     qs = [args.q_min + i * args.q_step for i in range(count)]
-    factors = None
     if args.qz is None:
-        factors = tuple(float(f) for f in args.qz_factors.split(","))
-        if len(factors) == 1:
-            factors = factors * args.bobs
-        if len(factors) != args.bobs:
-            raise _CliError(f"--qz-factors needs 1 or {args.bobs} values")
-    reports = []
-    for q in qs:
-        z = _parse_qz(args.qz, args.bobs) if factors is None else tuple(f * q for f in factors)
-        reports.append(_point_report(args, args.signals // 2, NoiseModel(q, z)))
+        factors = _parse_qz(args.qz_factors, args.bobs, "--qz-factors")
+        noises = [NoiseModel(q, tuple(f * q for f in factors)) for q in qs]
+    else:
+        noises = [NoiseModel(q, _parse_qz(args.qz, args.bobs)) for q in qs]
+    reports = [_point_report(args, args.signals // 2, noise) for noise in noises]
     return _emit_reports(args, reports)
 
 
 def cmd_sweep_n(args) -> int:
-    if args.signals_max < args.signals_min or args.points < 1:
-        raise _CliError("need signals-min <= signals-max and points >= 1")
+    if args.signals_max < args.signals_min or not 1 <= args.points <= MAX_SWEEP_POINTS:
+        raise _CliError(f"need signals-min <= signals-max and 1 <= points <= {MAX_SWEEP_POINTS}")
     grid = np.geomspace(args.signals_min, args.signals_max, num=args.points)
     totals = sorted({max(2, 2 * int(round(v / 2))) for v in grid})
     noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
@@ -427,25 +421,14 @@ def cmd_simulate(args) -> int:
         records.append(rec)
 
     stats = aggregate(outcomes)
-    summary = {}
-    sim_columns = ["qx_observed", "n_a", "n_r", "accepted_fraction"]
-    sim_columns += [f"postcad_error_{j + 1}" for j in range(args.bobs)]
-    sim_columns += ["keys_equal_fraction"]
-    for col in sim_columns:
-        source = {"n_a": "accepted", "n_r": "rejected"}.get(col, col)
-        if col == "accepted_fraction":
-            base = stats["accepted"]
-            scale = 1.0 / n
-        else:
-            base = stats[source]
-            scale = 1.0
-        summary[col] = {
-            "mean": base.mean * scale,
-            "std": None if base.std is None else base.std * scale,
-            "stderr": None if base.stderr is None else base.stderr * scale,
-        }
-
     fields = simulate_fields(args.bobs)
+    sources = {"n_a": "accepted", "n_r": "rejected", "accepted_fraction": "accepted"}
+    summary = {}
+    for col in fields[1:fields.index("keys_equal_fraction") + 1]:  # the simulated columns
+        scale = 1.0 / n if col == "accepted_fraction" else 1.0
+        summary[col] = {stat: None if value is None else value * scale
+                        for stat, value in vars(stats[sources.get(col, col)]).items()}
+
     if args.format == "json":
         payload = {
             "config": {
@@ -458,189 +441,28 @@ def cmd_simulate(args) -> int:
         }
         _emit(_json_text(payload), args.out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for rec in records:
-            writer.writerow([_fmt(rec[f]) for f in fields])
+        footer = []
         for stat in ("mean", "std", "stderr"):
-            row = [stat]
-            for f in fields[1:]:
-                if f in summary and summary[f][stat] is not None:
-                    row.append(_fmt(summary[f][stat]))
-                else:
-                    row.append("")
-            writer.writerow(row)
-        _emit(buf.getvalue(), args.out)
+            row = dict.fromkeys(fields, "")
+            row["trial"] = stat
+            row.update((col, values[stat]) for col, values in summary.items()
+                       if values[stat] is not None)
+            footer.append(row)
+        _emit(_csv_text(fields, records + footer), args.out)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# Self-test battery
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # PASS | FAIL | SKIP
-    margin: float | None
-    detail: str
-
-
-def _check_parity_exact() -> CheckResult:
-    worst = 0.0
-    for p in (1, 2, 3):
-        for bits in itertools.product((0, 1), repeat=p):
-            for y in (0, 1):
-                dist = ghzsim.x_basis_parity_distribution(ghzsim.ghz_state(p, bits, y))
-                worst = max(worst, abs(dist[y] - 1.0), dist[1 - y])
-    ok = worst <= 1e-12
-    return CheckResult("ghz-parity-exact", "PASS" if ok else "FAIL", worst,
-                       "max deviation of the announced parity from the phase bit")
-
-
-def _check_orthonormality() -> CheckResult:
-    worst = 0.0
-    for p in (1, 2, 3):
-        basis = [
-            (bits, y, ghzsim.ghz_state(p, bits, y).amplitudes)
-            for bits in itertools.product((0, 1), repeat=p)
-            for y in (0, 1)
-        ]
-        for (b1, y1, a1), (b2, y2, a2) in itertools.product(basis, repeat=2):
-            expect = 1.0 if (b1 == b2 and y1 == y2) else 0.0
-            worst = max(worst, abs(abs(np.vdot(a1, a2)) - expect))
-    ok = worst <= 1e-10
-    return CheckResult("ghz-orthonormality", "PASS" if ok else "FAIL", worst,
-                       "max deviation of pairwise inner products from identity")
-
-
-def _check_expansion() -> CheckResult:
-    bad = 0
-    for p in (1, 2, 3):
-        for bits in itertools.product((0, 1), repeat=p):
-            for y in (0, 1):
-                if not ghzsim.hadamard_expansion_check(p, bits, y):
-                    bad += 1
-    return CheckResult("hadamard-expansion", "PASS" if bad == 0 else "FAIL", float(bad),
-                       "GHZ states failing the all-Hadamard expansion identity")
-
-
-def _check_sieve_equivalence(seed: int, trials: int) -> CheckResult:
-    configs = ((1, 1), (2, 1), (1, 2))  # (p, rounds)
-    worst = 0.0
-    skipped = []
-    for c, (p, rounds) in enumerate(configs):
-        try:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(1, c)))
-            )
-            for _ in range(trials):
-                state = ghzsim.random_pure_state(2 * rounds * (p + 1), rng)
-                worst = max(worst, ghzsim.cad_delayed_measurement_equivalence(p, rounds, state))
-        except ValueError:
-            skipped.append((p, rounds))
-    if skipped and len(skipped) == len(configs):
-        return CheckResult("sieve-equivalence", "SKIP", None, "all configs exceed the qubit cap")
-    ok = worst <= 1e-9
-    note = f"max TV distance over {trials} random states per config"
-    if skipped:
-        note += f"; skipped {skipped} (qubit cap)"
-    return CheckResult("sieve-equivalence", "PASS" if ok else "FAIL", worst, note)
-
-
-def _check_key_min_entropy(seed: int, trials: int) -> CheckResult:
-    configs = ((2, 1), (3, 1), (2, 2))  # (n, p)
-    worst = math.inf
-    skipped = []
-    for c, (n, p) in enumerate(configs):
-        try:
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(2, c)))
-            )
-            for _ in range(trials):
-                size = int(rng.integers(1, 2**n + 1))
-                picks = rng.choice(2**n, size=size, replace=False)
-                words = [format(int(w), f"0{n}b") for w in sorted(picks)]
-                hmin, bound = ghzsim.key_min_entropy_check(n, p, words)
-                worst = min(worst, hmin - bound)
-        except ValueError:
-            skipped.append((n, p))
-    if skipped and len(skipped) == len(configs):
-        return CheckResult("key-min-entropy", "SKIP", None, "all configs exceed the qubit cap")
-    ok = worst >= -1e-9
-    note = f"min (hmin - bound) over {trials} random parity sets per config"
-    if skipped:
-        note += f"; skipped {skipped} (qubit cap)"
-    return CheckResult("key-min-entropy", "PASS" if ok else "FAIL", worst, note)
-
-
-def _check_sampling_exhaustive(seed: int) -> CheckResult:
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(3,))))
-    worst = math.inf
-    for n_pop, m in ((16, 4), (20, 5), (24, 6)):
-        words = [
-            BitString("01" * (n_pop // 2)),
-            BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
-        ]
-        for delta in (0.25, 0.4):
-            bound = sampling.epsilon_cl_bound(sampling.SamplingParams(n_pop, m, delta))
-            for q in words:
-                fail = sampling.empirical_sampling_failure(q, m, delta)
-                worst = min(worst, bound - fail)
-    n_pop, m, delta = 200, 50, 0.25
-    bound = sampling.epsilon_cl_bound(sampling.SamplingParams(n_pop, m, delta))
-    margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
-    ok = worst >= 0.0 and margin >= 0.0
-    return CheckResult("sampling-exhaustive", "PASS" if ok else "FAIL", worst,
-                       "min (bound - exact failure probability) over N=16/20/24 instances; "
-                       f"{margin:.6e} at N={n_pop}, m={m}, delta={delta}")
-
-
-def _check_sampling_roundtrip() -> CheckResult:
-    worst = 0.0
-    for eps in (1e-6, 1e-12, 1e-36):
-        for n_pop in (1000, 1_000_000):
-            for m in (n_pop // 10, n_pop // 4):
-                delta = sampling.delta_from_epsilon(n_pop, m, eps)
-                log_bound = sampling.sampling_failure_log(n_pop, m, delta)
-                target = 2.0 * math.log(eps)
-                worst = max(worst, abs(log_bound - target) / abs(target))
-    ok = worst <= 1e-12
-    return CheckResult("sampling-roundtrip", "PASS" if ok else "FAIL", worst,
-                       "max relative log-space error of the delta inverse")
-
-
-def selftest_checks(seed: int = 0, quick: bool = False) -> list:
-    """Run the verification battery and return one result per check."""
-    sieve_trials = 10 if quick else 200
-    entropy_trials = 10 if quick else 100
-    return [
-        _check_parity_exact(),
-        _check_orthonormality(),
-        _check_expansion(),
-        _check_sieve_equivalence(seed, sieve_trials),
-        _check_key_min_entropy(seed, entropy_trials),
-        _check_sampling_exhaustive(seed),
-        _check_sampling_roundtrip(),
-    ]
-
-
 def cmd_selftest(args) -> int:
-    results = selftest_checks(seed=args.seed, quick=args.quick)
+    try:
+        results = selftest_checks(seed=args.seed, quick=args.quick)
+    except CheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SELFTEST
     if args.format == "json":
-        payload = [
-            {"name": r.name, "status": r.status, "margin": r.margin, "detail": r.detail}
-            for r in results
-        ]
-        text = _json_text(payload)
+        text = _json_text([vars(r) for r in results])
     else:
-        lines = []
-        for r in results:
-            margin = "" if r.margin is None else f" margin={r.margin:.6e}"
-            lines.append(f"{r.status:4s} {r.name}{margin}  ({r.detail})")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{r.status} {r.name} margin={r.margin:.6e}  ({r.detail})\n"
+                       for r in results)
     _emit(text, args.out)
     return EXIT_SELFTEST if any(r.status == "FAIL" for r in results) else EXIT_OK
 

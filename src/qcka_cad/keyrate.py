@@ -143,7 +143,7 @@ def key_length(
     if qx is None:
         qx = analytic_qx(noise.x_error)
     if n_a is None:
-        n_a = round(pa * n)
+        n_a = min(round(pa * n), n)  # pa * n rounds up past n once n > 2**53
     if not 0 <= n_a <= n:
         raise ValueError("need 0 <= n_a <= n")
 
@@ -201,6 +201,8 @@ def optimize_m(
     m_max = math.ceil(half_signals / 2) - 1
     if m_max < 1:
         raise ValueError("half_signals too small for any valid test size")
+    if float(m_max) >= 2.0**63:  # the grid's top point would not fit in int64
+        raise ValueError(f"half_signals {half_signals} too large for the test-size grid")
 
     cache: dict = {}
 

@@ -1,0 +1,172 @@
+"""Verification battery for the facts the security argument rests on.
+
+``qcka-cad selftest`` runs it through :func:`selftest_checks`; the
+acceptance suite calls the same checks with its own pinned seeds.  A
+randomised check takes a fresh ``np.random.SeedSequence`` and draws one
+Philox stream per configuration from ``seeds.spawn(len(configs))``.
+A check that raises surfaces as :class:`CheckError`, never as a pass.
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import ghzsim, sampling
+from .bitcore import BitString
+
+__all__ = [
+    "CheckResult", "CheckError", "selftest_checks",
+    "check_parity_exact", "check_orthonormality", "check_expansion",
+    "check_sieve_equivalence", "check_key_min_entropy",
+    "check_sampling_exhaustive", "check_sampling_roundtrip",
+]
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    status: str  # PASS | FAIL
+    margin: float
+    detail: str
+
+
+class CheckError(Exception):
+    """A check raised instead of returning a result."""
+
+    def __init__(self, name: str, exc: Exception):
+        super().__init__(f"check {name} raised {type(exc).__name__}: {exc}")
+
+
+def _check(name: str):
+    """Name a check that returns ``(passed, margin, detail)``."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(*args) -> CheckResult:
+            try:
+                passed, margin, detail = fn(*args)
+            except Exception as exc:
+                raise CheckError(name, exc) from exc
+            return CheckResult(name, "PASS" if passed else "FAIL", float(margin), detail)
+        return run
+    return decorate
+
+
+def _ghz_labels(p: int) -> list:
+    """(bits, y) of every p-party GHZ basis state."""
+    return [(bits, y) for bits in itertools.product((0, 1), repeat=p) for y in (0, 1)]
+
+
+def _streams(seeds: np.random.SeedSequence, count: int) -> list:
+    return [np.random.Generator(np.random.Philox(child)) for child in seeds.spawn(count)]
+
+
+@_check("ghz-parity-exact")
+def check_parity_exact():
+    worst = 0.0
+    for p in (1, 2, 3):
+        for bits, y in _ghz_labels(p):
+            dist = ghzsim.x_basis_parity_distribution(ghzsim.ghz_state(p, bits, y))
+            worst = max(worst, abs(dist[y] - 1.0), dist[1 - y])
+    return (worst <= 1e-12, worst,
+            "max deviation of the announced parity from the phase bit")
+
+
+@_check("ghz-orthonormality")
+def check_orthonormality():
+    worst = 0.0
+    for p in (1, 2, 3):
+        basis = [(bits, y, ghzsim.ghz_state(p, bits, y).amplitudes)
+                 for bits, y in _ghz_labels(p)]
+        for (b1, y1, a1), (b2, y2, a2) in itertools.product(basis, repeat=2):
+            expect = 1.0 if (b1 == b2 and y1 == y2) else 0.0
+            worst = max(worst, abs(abs(np.vdot(a1, a2)) - expect))
+    return (worst <= 1e-10, worst,
+            "max deviation of pairwise inner products from identity")
+
+
+@_check("hadamard-expansion")
+def check_expansion():
+    bad = sum(not ghzsim.hadamard_expansion_check(p, bits, y)
+              for p in (1, 2, 3) for bits, y in _ghz_labels(p))
+    return bad == 0, bad, "GHZ states failing the all-Hadamard expansion identity"
+
+
+@_check("sieve-equivalence")
+def check_sieve_equivalence(seeds: np.random.SeedSequence, trials: int):
+    configs = ((1, 1), (2, 1), (1, 2))  # (p, rounds)
+    worst = 0.0
+    for (p, rounds), rng in zip(configs, _streams(seeds, len(configs))):
+        for _ in range(trials):
+            state = ghzsim.random_pure_state(2 * rounds * (p + 1), rng)
+            worst = max(worst, ghzsim.cad_delayed_measurement_equivalence(p, rounds, state))
+    return (worst <= 1e-9, worst,
+            f"max TV distance over {trials} random states per config")
+
+
+@_check("key-min-entropy")
+def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
+    configs = ((2, 1), (3, 1), (2, 2))  # (n, p)
+    worst = math.inf
+    for (n, p), rng in zip(configs, _streams(seeds, len(configs))):
+        for _ in range(trials):
+            size = int(rng.integers(1, 2**n + 1))
+            picks = rng.choice(2**n, size=size, replace=False)
+            words = [format(int(w), f"0{n}b") for w in sorted(picks)]
+            hmin, bound = ghzsim.key_min_entropy_check(n, p, words)
+            worst = min(worst, hmin - bound)
+    return (worst >= -1e-9, worst,
+            f"min (hmin - bound) over {trials} random parity sets per config")
+
+
+@_check("sampling-exhaustive")
+def check_sampling_exhaustive(seeds: np.random.SeedSequence):
+    rng = np.random.Generator(np.random.Philox(seeds))
+    worst = math.inf
+    for n_pop, m in ((16, 4), (20, 5), (24, 6)):
+        words = [
+            BitString("01" * (n_pop // 2)),
+            BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
+        ]
+        for delta in (0.25, 0.4):
+            bound = sampling.epsilon_cl_bound(sampling.SamplingParams(n_pop, m, delta))
+            for q in words:
+                fail = sampling.empirical_sampling_failure(q, m, delta)
+                worst = min(worst, bound - fail)
+    n_pop, m, delta = 200, 50, 0.25
+    bound = sampling.epsilon_cl_bound(sampling.SamplingParams(n_pop, m, delta))
+    margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
+    return (worst >= 0.0 and margin >= 0.0, worst,
+            "min (bound - exact failure probability) over N=16/20/24 instances; "
+            f"{margin:.6e} at N={n_pop}, m={m}, delta={delta}")
+
+
+@_check("sampling-roundtrip")
+def check_sampling_roundtrip():
+    worst = 0.0
+    for eps in (1e-6, 1e-12, 1e-36):
+        for n_pop in (1000, 1_000_000):
+            for m in (n_pop // 10, n_pop // 4):
+                delta = sampling.delta_from_epsilon(n_pop, m, eps)
+                log_bound = sampling.sampling_failure_log(n_pop, m, delta)
+                target = 2.0 * math.log(eps)
+                worst = max(worst, abs(log_bound - target) / abs(target))
+    return worst <= 1e-12, worst, "max relative log-space error of the delta inverse"
+
+
+def selftest_checks(seed: int = 0, quick: bool = False) -> list:
+    """Run the battery: one result per check, or :class:`CheckError`."""
+    seeds = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in (1, 2, 3)]
+    return [
+        check_parity_exact(),
+        check_orthonormality(),
+        check_expansion(),
+        check_sieve_equivalence(seeds[0], 10 if quick else 200),
+        check_key_min_entropy(seeds[1], 10 if quick else 100),
+        check_sampling_exhaustive(seeds[2]),
+        check_sampling_roundtrip(),
+    ]

@@ -5,7 +5,6 @@ lines with their margins.  Every tolerance is pinned here; nothing is
 deferred to later calibration.
 """
 
-import itertools
 import math
 import time
 
@@ -14,13 +13,6 @@ import pytest
 
 from qcka_cad.bitcore import BitString
 from qcka_cad.cli import main as cli_main
-from qcka_cad.ghzsim import (
-    cad_delayed_measurement_equivalence,
-    ghz_state,
-    key_min_entropy_check,
-    random_pure_state,
-    x_basis_parity_distribution,
-)
 from qcka_cad.keyrate import (
     epsilon_constants,
     key_length,
@@ -40,6 +32,7 @@ from qcka_cad.sampling import (
     empirical_sampling_failure,
     epsilon_cl_bound,
 )
+from qcka_cad.verify import check_key_min_entropy, check_parity_exact, check_sieve_equivalence
 
 EPSILON = 1e-36
 SIGNALS = 10**7  # 2N used in the evaluation figures
@@ -52,16 +45,13 @@ def _emit(num, ok, name, detail):
 def test_criterion_1_parity_exactness():
     """All-qubit Hadamard parity is a point mass on the phase bit."""
     start = time.perf_counter()
-    worst = 0.0
-    for p in (1, 2, 3):
-        for bits in itertools.product((0, 1), repeat=p):
-            for y in (0, 1):
-                dist = x_basis_parity_distribution(ghz_state(p, bits, y))
-                worst = max(worst, abs(dist[y] - 1.0), dist[1 - y])
+    result = check_parity_exact()
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-12 and elapsed < 1.0
+    worst = result.margin
+    ok = result.status == "PASS" and worst <= 1e-12 and elapsed < 1.0
     _emit(1, ok, "GHZ parity exactness",
           f"max deviation {worst:.3e} <= 1e-12, runtime {elapsed:.2f}s < 1s")
+    assert result.status == "PASS"
     assert worst <= 1e-12
     assert elapsed < 1.0
 
@@ -69,18 +59,13 @@ def test_criterion_1_parity_exactness():
 def test_criterion_2_delayed_measurement_equivalence():
     """Direct and delayed sieve measurements produce the same records."""
     start = time.perf_counter()
-    worst = 0.0
-    for c, (rounds, p) in enumerate(((1, 1), (1, 2), (2, 1))):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=20, spawn_key=(c,)))
-        )
-        for _ in range(200):
-            state = random_pure_state(2 * rounds * (p + 1), rng)
-            worst = max(worst, cad_delayed_measurement_equivalence(p, rounds, state))
+    result = check_sieve_equivalence(np.random.SeedSequence(20), 200)
     elapsed = time.perf_counter() - start
-    ok = worst <= 1e-9 and elapsed < 60.0
+    worst = result.margin
+    ok = result.status == "PASS" and worst <= 1e-9 and elapsed < 60.0
     _emit(2, ok, "delayed-measurement equivalence",
           f"max TV {worst:.3e} <= 1e-9 over 200 states/config, runtime {elapsed:.1f}s < 60s")
+    assert result.status == "PASS"
     assert worst <= 1e-9
     assert elapsed < 60.0
 
@@ -88,21 +73,13 @@ def test_criterion_2_delayed_measurement_equivalence():
 def test_criterion_3_min_entropy_bound():
     """First-qubit min-entropy dominates n - log2|parity set|."""
     start = time.perf_counter()
-    worst = math.inf
-    for c, (n, p) in enumerate(((2, 1), (3, 1), (2, 2))):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=30, spawn_key=(c,)))
-        )
-        for _ in range(100):
-            size = int(rng.integers(1, 2**n + 1))
-            picks = rng.choice(2**n, size=size, replace=False)
-            words = [format(int(w), f"0{n}b") for w in sorted(picks)]
-            hmin, bound = key_min_entropy_check(n, p, words)
-            worst = min(worst, hmin - bound)
+    result = check_key_min_entropy(np.random.SeedSequence(30), 100)
     elapsed = time.perf_counter() - start
-    ok = worst >= -1e-9 and elapsed < 60.0
+    worst = result.margin
+    ok = result.status == "PASS" and worst >= -1e-9 and elapsed < 60.0
     _emit(3, ok, "restricted-superposition min-entropy",
           f"min margin {worst:.3e} >= -1e-9 over 100 sets/config, runtime {elapsed:.1f}s < 60s")
+    assert result.status == "PASS"
     assert worst >= -1e-9
     assert elapsed < 60.0
 

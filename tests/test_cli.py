@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from qcka_cad import ghzsim
 from qcka_cad.cli import EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, EXIT_ZERO_RATE, REPORT_FIELDS, main, simulate_fields
 
 GOLDEN_REPORT_HEADER = (
@@ -49,6 +50,17 @@ class TestUsageErrors:
          "--trials", "inf"),
     ])
     def test_non_finite_integers_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--signals", "1e20", "--q", "0", "--qz", "0"),
+        ("sweep-n", "--signals-min", "1e4", "--signals-max", "1e6", "--points", "1e9",
+         "--q", "0", "--qz", "0"),
+    ])
+    def test_unbounded_sizes_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
@@ -201,6 +213,26 @@ class TestSelftest:
         assert code == EXIT_OK
         payload = json.loads(out)
         assert all(item["status"] == "PASS" for item in payload)
+        assert all(type(item["margin"]) is float for item in payload)
+
+
+    @pytest.mark.parametrize("target, check", [
+        ("cad_delayed_measurement_equivalence", "sieve-equivalence"),
+        ("key_min_entropy_check", "key-min-entropy"),
+    ])
+    def test_raising_check_fails_the_battery(self, capsys, monkeypatch, target, check):
+        original = getattr(ghzsim, target)
+
+        def raise_on_two(first, *args):  # p == 2 or n == 2: one config only
+            if first == 2:
+                raise ValueError("state not normalized")
+            return original(first, *args)
+
+        monkeypatch.setattr(ghzsim, target, raise_on_two)
+        code, out, err = run_cli(capsys, "selftest", "--quick")
+        assert code == EXIT_SELFTEST
+        assert out == ""
+        assert err == f"error: check {check} raised ValueError: state not normalized\n"
 
 
 class TestReproducibility:

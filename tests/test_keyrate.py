@@ -154,6 +154,12 @@ class TestKeyLength:
         tol = 3 * (abs(d_ell_dqx) * sigma_qx + abs(d_ell_dna) * sigma_na) + 1.0
         assert abs(simulated.ell - analytic.ell) <= tol
 
+    def test_noiseless_past_float_precision(self):
+        # float(2**63 - 1) rounds up to 2**63; n_a must still not exceed n.
+        params = ProtocolParams(1, 2**63 - 1 + 10**6, 10**6, 1e-36)
+        report = key_length(params, NoiseModel(0.0, (0.0,)))
+        assert report.accepted == report.key_blocks == 2**63 - 1
+
     def test_flags_no_accepted_blocks(self):
         params = ProtocolParams(1, 1000, 100, 1e-6)
         report = key_length(params, NoiseModel(0.1, (0.1,)), n_a=0)
@@ -203,6 +209,16 @@ class TestOptimizeM:
     def test_asymmetric_configuration_is_positive(self):
         _, report = optimize_m(2, 5_000_000, 1e-36, NoiseModel(0.1, (0.1, 0.025)))
         assert report.rate > 0.0
+
+    def test_largest_grid_size(self):
+        # 2**64 - 1025 is the largest N whose grid top, ceil(N/2) - 1 after
+        # float division, still fits in int64; one more and it does not.
+        half = 2**64 - 1025
+        m_star, report = optimize_m(1, half, 1e-36, NoiseModel(0.0, (0.0,)))
+        assert 1 <= m_star < half // 2
+        assert 0.49 < report.rate < 0.5
+        with pytest.raises(ValueError, match="too large"):
+            optimize_m(1, half + 1, 1e-36, NoiseModel(0.0, (0.0,)))
 
     def test_no_positive_rate_flagged(self):
         m_star, report = optimize_m(1, 10_000, 1e-36, NoiseModel(0.25, (0.25,)))
