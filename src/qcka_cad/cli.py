@@ -158,7 +158,7 @@ class _Parser(argparse.ArgumentParser):
 
 FORMATS = ("csv", "json")
 ERROR_FORMULAS = ("conservative", "independent")
-MAX_SWEEP_POINTS = 1000  # sweep-n grid size; each point is one test-size search
+MAX_SWEEP_POINTS = 1000  # sweep grid size; each point is one test-size search
 
 
 def _parse_signals(text: str) -> int:
@@ -350,10 +350,12 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sweep_q(args) -> int:
-    if args.q_step <= 0 or args.q_max < args.q_min:
+    if not (args.q_step > 0 and args.q_min <= args.q_max):
         raise _CliError("need q-min <= q-max and a positive q-step")
-    count = int(math.floor((args.q_max - args.q_min) / args.q_step + 1e-9)) + 1
-    qs = [args.q_min + i * args.q_step for i in range(count)]
+    steps = (args.q_max - args.q_min) / args.q_step + 1e-9
+    if not steps < MAX_SWEEP_POINTS:
+        raise _CliError(f"the q grid has more than {MAX_SWEEP_POINTS} points")
+    qs = [args.q_min + i * args.q_step for i in range(math.floor(steps) + 1)]
     if args.qz is None:
         factors = _parse_qz(args.qz_factors, args.bobs, "--qz-factors")
         noises = [NoiseModel(q, tuple(f * q for f in factors)) for q in qs]

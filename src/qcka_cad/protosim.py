@@ -8,10 +8,17 @@ i.i.d.: an X-basis flip with probability ``x_error`` per round half, and
 an independent Z-basis flip with probability ``z_errors[j]`` per round
 half between the reference party and party j+1.
 
-Blocks are exchangeable under this model, so the protocol's initial
-random permutation is statistically inert and omitted.  Per-party X
-outcomes are never materialized either: only the announced XOR matters
-and it is a Bernoulli draw with the block-error probability.
+That independence is the only assumption the simulator uses.  It makes
+blocks exchangeable and parties independent, so a trial is fully
+described by a few counts, and :func:`run_trial` draws those counts
+directly: O(p) binomial draws per trial, with time and memory
+independent of the signal count.  Per-block probabilities come from
+enumerating each party's four (left, right) flip pairs and applying the
+sieve rule to them in code, never from the closed forms
+(:func:`analytic_qx`, :func:`analytic_pa`, :func:`postcad_error_rates`)
+that the simulator is used to cross-check.  Neither the reference
+party's raw bits nor the protocol's initial random permutation affects
+any count, so neither is drawn.
 
 Trials use counter-based Philox streams keyed on (seed, trial index), so
 any subset of trials can be reproduced independently.
@@ -149,51 +156,63 @@ def _trial_generator(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _flip_patterns(rate: float):
+    """Each (left, right) flip pair of one two-round block, with its probability."""
+    for left in (0, 1):
+        for right in (0, 1):
+            yield left, right, (rate if left else 1.0 - rate) * (rate if right else 1.0 - rate)
+
+
 def run_trial(params: ProtocolParams, noise: NoiseModel, trial_index: int = 0) -> TrialOutcome:
     """Simulate one execution and return its sifted-key statistics.
 
-    Error correction and privacy amplification are accounting-only in the
-    key-rate analysis and are not executed here.
+    Draws the test-error count, the accepted-block count, each party's
+    kept-bit disagreement count and the all-equal count; no per-block
+    array is built.  Counts are int64 inside numpy, so ``ValueError`` is
+    raised for 2**63 or more test or key blocks.  Error correction and
+    privacy amplification are accounting-only in the key-rate analysis
+    and are not executed here.
     """
     if len(noise.z_errors) != params.bobs:
         raise ValueError(
             f"noise model has {len(noise.z_errors)} Z rates for {params.bobs} parties"
         )
+    m, n = params.test_size, params.key_blocks
+    if max(m, n) >= 2**63:
+        raise ValueError("the simulator needs fewer than 2**63 test and key blocks")
     rng = _trial_generator(params.seed, trial_index)
-    m, n, q = params.test_size, params.key_blocks, noise.x_error
 
-    # Test blocks: the announced statistic is the XOR of the two halves'
-    # X-parity errors, a single Bernoulli per half.
-    err_left = rng.random(m) < q
-    err_right = rng.random(m) < q
-    qx_observed = float(np.mean(err_left ^ err_right))
+    # A test block counts as an error when exactly one of its halves flipped.
+    block_error = sum(prob for left, right, prob in _flip_patterns(noise.x_error) if left ^ right)
+    qx_observed = int(rng.binomial(m, block_error)) / m
 
-    # Key blocks: reference party's raw bits, then each party's bits as
-    # reference XOR an independent flip per half.
-    ref_left = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ref_right = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ref_parity = ref_left ^ ref_right
-
-    accept = np.ones(n, dtype=bool)
-    party_left = []
+    # Party j passes the sieve when its two flips leave the reference
+    # parity intact; its kept (left) bit then disagrees when both flipped.
+    sieve = []
     for z in noise.z_errors:
-        flip_left = (rng.random(n) < z).astype(np.uint8)
-        flip_right = (rng.random(n) < z).astype(np.uint8)
-        left = ref_left ^ flip_left
-        right = ref_right ^ flip_right
-        party_left.append(left)
-        accept &= (left ^ right) == ref_parity
+        passed = [(left, prob) for left, right, prob in _flip_patterns(z) if not left ^ right]
+        pass_prob = sum(prob for _, prob in passed)
+        sieve.append((pass_prob, sum(prob for left, prob in passed if left) / pass_prob))
 
-    n_a = int(accept.sum())
+    # A block is accepted when every party passes: thin n party by party.
+    n_a = n
+    for pass_prob, _ in sieve:
+        n_a = int(rng.binomial(n_a, pass_prob))
+
+    # Given acceptance, parties disagree independently.  Track the blocks
+    # where every party so far agrees with the reference and the rest.
+    agreeing, rest, disagreements = n_a, 0, []
+    for _, disagree_prob in sieve:
+        newly = int(rng.binomial(agreeing, disagree_prob))
+        disagreements.append(newly + int(rng.binomial(rest, disagree_prob)))
+        agreeing, rest = agreeing - newly, rest + newly
+
     if n_a == 0:
         postcad = (math.nan,) * params.bobs
         keys_equal = math.nan
     else:
-        kept_ref = ref_left[accept]
-        disagree = [left[accept] != kept_ref for left in party_left]
-        postcad = tuple(float(np.mean(d)) for d in disagree)
-        all_equal = ~np.logical_or.reduce(disagree)
-        keys_equal = float(np.mean(all_equal))
+        postcad = tuple(d / n_a for d in disagreements)
+        keys_equal = agreeing / n_a
 
     return TrialOutcome(
         qx_observed=qx_observed,
@@ -236,10 +255,13 @@ def aggregate(outcomes) -> dict:
     stats = {}
     count = len(outcomes)
     for name, values in columns.items():
+        # Deviations from the first value keep identical trials exact:
+        # their mean is that value and their spread is zero.
         arr = np.asarray(values, dtype=float)
-        mean = float(arr.mean())
+        deviations = arr - arr[0]
+        mean = float(arr[0] + deviations.mean())
         if count > 1:
-            std = float(arr.std(ddof=1))
+            std = float(deviations.std(ddof=1))
             stderr = std / math.sqrt(count)
         else:
             std = stderr = None

@@ -118,16 +118,12 @@ def test_criterion_4_sampling_oracle():
     assert elapsed < 60.0
 
 
-def test_criterion_5_simulation_agreement():
-    """Monte Carlo statistics match the analytic channel model."""
-    start = time.perf_counter()
-    trials = 20
-    params = ProtocolParams(2, 150_000, 50_000, EPSILON, seed=50)
-    noise = NoiseModel(0.1, (0.1, 0.025))
+def _simulation_agreement(params, noise, trials):
+    """3-sigma agreement of QX, acceptance and post-sieve errors with the analytics."""
     outcomes = [run_trial(params, noise, i) for i in range(trials)]
     m, n = params.test_size, params.key_blocks
 
-    qx = analytic_qx(0.1)
+    qx = analytic_qx(noise.x_error)
     mean_qx = float(np.mean([t.qx_observed for t in outcomes]))
     sigma_qx = math.sqrt(qx * (1 - qx) / (m * trials))
     qx_ok = abs(mean_qx - qx) <= 3 * sigma_qx
@@ -142,7 +138,7 @@ def test_criterion_5_simulation_agreement():
     cons = postcad_error_rates(noise.z_errors, "conservative")
     kept = sum(t.accepted for t in outcomes)
     formula_ok = True
-    for j in range(2):
+    for j in range(params.bobs):
         mean_err = float(np.mean([t.postcad_error[j] for t in outcomes]))
         sigma = math.sqrt(ind[j] * (1 - ind[j]) / kept)
         match_ind = abs(mean_err - ind[j]) <= 3 * sigma
@@ -155,16 +151,30 @@ def test_criterion_5_simulation_agreement():
             f"pooled {cons[j]:.6f} "
             f"({'matches' if match_cons else 'does not match'} within 3 sigma)"
         )
+    detail = (f"{trials} trials at {params.total_signals:.0e} signals: "
+              f"mean QX {mean_qx:.5f} vs {qx:.5f} (3 sigma {3 * sigma_qx:.2e}), "
+              f"mean acceptance {mean_acc:.6f} vs {pa:.6f} (3 sigma {3 * sigma_acc:.2e})")
+    return qx_ok, acc_ok, formula_ok, detail
 
+
+def test_criterion_5_simulation_agreement():
+    """Monte Carlo statistics match the analytic channel model."""
+    start = time.perf_counter()
+    noise = NoiseModel(0.1, (0.1, 0.025))
+    qx_ok, acc_ok, formula_ok, detail = _simulation_agreement(
+        ProtocolParams(2, 150_000, 50_000, EPSILON, seed=50), noise, 20)
+    # Paper scale: 1e7 signals at the optimised test size.
+    *paper_checks, paper_detail = _simulation_agreement(
+        ProtocolParams(2, SIGNALS // 2, 731_304, EPSILON, seed=51), noise, 1000)
     elapsed = time.perf_counter() - start
-    ok = qx_ok and acc_ok and formula_ok and elapsed < 120.0
+    ok = qx_ok and acc_ok and formula_ok and all(paper_checks) and elapsed < 120.0
     _emit(5, ok, "analytic vs Monte Carlo agreement",
-          f"mean QX {mean_qx:.5f} vs {qx:.5f} (3 sigma {3 * sigma_qx:.2e}), "
-          f"mean acceptance {mean_acc:.6f} vs {pa:.6f} (3 sigma {3 * sigma_acc:.2e}), "
+          f"{detail}; {paper_detail}; "
           f"per-factor error formula matches empirics, runtime {elapsed:.1f}s < 120s")
     assert qx_ok
     assert acc_ok
     assert formula_ok
+    assert all(paper_checks)
     assert elapsed < 120.0
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from qcka_cad import ghzsim
 from qcka_cad.cli import EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, EXIT_ZERO_RATE, REPORT_FIELDS, main, simulate_fields
+from qcka_cad.protosim import NoiseModel, ProtocolParams, run_trial
 
 GOLDEN_REPORT_HEADER = (
     "p,signals,half_signals,m,n,epsilon,q,qz,error_formula,delta,qx,pa,n_a,"
@@ -59,6 +60,8 @@ class TestUsageErrors:
         ("rate", "--signals", "1e20", "--q", "0", "--qz", "0"),
         ("sweep-n", "--signals-min", "1e4", "--signals-max", "1e6", "--points", "1e9",
          "--q", "0", "--qz", "0"),
+        ("sweep-q", "--signals", "1e6", "--q-max", "1e9", "--q-step", "1e-9", "--qz", "0"),
+        ("simulate", "--signals", "1e20", "--m", "10", "--q", "0.1", "--qz", "0.1"),
     ])
     def test_unbounded_sizes_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -176,11 +179,15 @@ class TestSimulate:
             assert row["n_r"] == "0"
 
     def test_nan_fields_serialize_as_null(self, capsys):
-        # Seed 4 loses every key block to the sieve at QZ = 1/2 with a
-        # 3-block register, so the error-rate fields are undefined.
+        # At QZ = 1/2 a 3-block register loses every block to the sieve with
+        # probability 1/8; at the first seed where trial 0 does, the
+        # error-rate fields are undefined.
+        noise = NoiseModel(0.0, (0.5,))
+        seed = next(s for s in range(64)
+                    if run_trial(ProtocolParams(1, 5, 2, 1e-36, seed=s), noise).accepted == 0)
         _, out, _ = run_cli(
             capsys, "simulate", "--p", "1", "--signals", "10", "--m", "2",
-            "--q", "0.0", "--qz", "0.5", "--trials", "1", "--seed", "4",
+            "--q", "0.0", "--qz", "0.5", "--trials", "1", "--seed", str(seed),
             "--format", "json",
         )
         assert "NaN" not in out  # bare NaN is not valid JSON
@@ -188,6 +195,16 @@ class TestSimulate:
         assert payload["trials"][0]["n_a"] == 0
         assert payload["trials"][0]["postcad_error_1"] is None
         assert payload["trials"][0]["keys_equal_fraction"] is None
+
+    def test_signal_count_past_memory_scale(self, capsys):
+        # A per-bit simulation of 5e12 key blocks would need terabytes.
+        code, out, err = run_cli(
+            capsys, "simulate", "--signals", "1e13", "--m", "10", "--q", "0.1", "--qz", "0.1",
+        )
+        assert code == EXIT_OK
+        assert err == ""
+        row = next(csv.DictReader(io.StringIO(out)))
+        assert int(row["n_a"]) + int(row["n_r"]) == 5 * 10**12 - 10
 
     def test_json_structure(self, capsys):
         _, out, _ = run_cli(
