@@ -14,7 +14,8 @@ accepts ``--seed`` and produces byte-identical output for identical
 invocations.  CSV output is RFC-4180-style with an LF line ending and
 floats printed to 12 significant digits; ``--format json`` emits the
 same fields as JSON.
-A ``--config FILE`` of flat ``key = value`` lines overrides flags.
+A ``--config FILE`` of flat ``key = value`` lines overrides flags and
+may supply required ones.
 """
 
 from __future__ import annotations
@@ -159,6 +160,17 @@ class _Parser(argparse.ArgumentParser):
 FORMATS = ("csv", "json")
 ERROR_FORMULAS = ("conservative", "independent")
 MAX_SWEEP_POINTS = 1000  # sweep grid size; each point is one test-size search
+MAX_PARTIES = 1000  # --p; per-party lists and columns are built from it
+MAX_TRIAL_PARTIES = 10**6  # simulate --trials x --p; every row is held in memory
+
+# Flags a command needs, checked once --config has been applied so that a
+# config file may supply them; listed in the order the parser adds them.
+REQUIRED_FLAGS = {
+    "rate": ("--signals", "--q", "--qz"),
+    "sweep-q": ("--signals", "--q-max"),
+    "sweep-n": ("--signals-min", "--signals-max", "--q", "--qz"),
+    "simulate": ("--signals", "--q", "--qz"),
+}
 
 
 def _parse_signals(text: str) -> int:
@@ -266,8 +278,8 @@ def _add_protocol(sub: argparse.ArgumentParser, *, with_q: bool = True) -> None:
                      default="conservative", dest="error_formula",
                      help="post-sieve error rate used inside leak_EC")
     if with_q:
-        sub.add_argument("--q", type=float, required=True, help="X-basis flip rate per half")
-        sub.add_argument("--qz", required=True,
+        sub.add_argument("--q", type=float, help="X-basis flip rate per half")
+        sub.add_argument("--qz",
                          help="Z flip rates: one value or a comma list, one per party")
 
 
@@ -276,16 +288,16 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     rate = subs.add_parser("rate", help="single-point key-rate report")
-    rate.add_argument("--signals", type=_parse_signals, required=True,
+    rate.add_argument("--signals", type=_parse_signals,
                       help="total signal count 2N (e.g. 1e7)")
     _add_protocol(rate)
     _add_common(rate)
     rate.set_defaults(func=cmd_rate)
 
     sweep_q = subs.add_parser("sweep-q", help="rate vs X-error at fixed signals")
-    sweep_q.add_argument("--signals", type=_parse_signals, required=True)
+    sweep_q.add_argument("--signals", type=_parse_signals)
     sweep_q.add_argument("--q-min", type=float, default=0.0)
-    sweep_q.add_argument("--q-max", type=float, required=True)
+    sweep_q.add_argument("--q-max", type=float)
     sweep_q.add_argument("--q-step", type=float, default=0.01)
     _add_protocol(sweep_q, with_q=False)
     sweep_q.add_argument("--qz", default=None,
@@ -296,8 +308,8 @@ def build_parser() -> _Parser:
     sweep_q.set_defaults(func=cmd_sweep_q)
 
     sweep_n = subs.add_parser("sweep-n", help="rate vs total signals at fixed noise")
-    sweep_n.add_argument("--signals-min", type=_parse_signals, required=True)
-    sweep_n.add_argument("--signals-max", type=_parse_signals, required=True)
+    sweep_n.add_argument("--signals-min", type=_parse_signals)
+    sweep_n.add_argument("--signals-max", type=_parse_signals)
     sweep_n.add_argument("--points", type=_parse_int, default=16,
                          help="geometric grid size")
     _add_protocol(sweep_n)
@@ -305,7 +317,7 @@ def build_parser() -> _Parser:
     sweep_n.set_defaults(func=cmd_sweep_n)
 
     simulate = subs.add_parser("simulate", help="Monte Carlo protocol trials")
-    simulate.add_argument("--signals", type=_parse_signals, required=True)
+    simulate.add_argument("--signals", type=_parse_signals)
     simulate.add_argument("--trials", type=_parse_int, default=1)
     _add_protocol(simulate)
     _add_common(simulate)
@@ -388,6 +400,8 @@ def simulate_fields(bobs: int) -> list:
 def cmd_simulate(args) -> int:
     if args.trials < 1:
         raise _CliError("trials must be at least 1")
+    if args.trials * args.bobs > MAX_TRIAL_PARTIES:
+        raise _CliError(f"trials x p must be at most {MAX_TRIAL_PARTIES}")
     noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
     half = args.signals // 2
     if args.m is None:
@@ -474,12 +488,22 @@ def cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_args(args: argparse.Namespace) -> None:
+    missing = [flag for flag in REQUIRED_FLAGS.get(args.command, ())
+               if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        raise _CliError(f"the following arguments are required: {', '.join(missing)}")
+    if not 1 <= getattr(args, "bobs", 1) <= MAX_PARTIES:
+        raise _CliError(f"--p must be between 1 and {MAX_PARTIES}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
             _apply_config(args, args.config)
+        _check_args(args)
         return args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,13 +17,17 @@ the handful of quantum facts the key-rate analysis relies on:
 
 Everything is computed by exact marginalization of squared amplitudes,
 never by sampling, so the checks are deterministic.  States are dense
-complex vectors with a hard qubit cap (default 14); within a GHZ block,
-qubit 1 belongs to the first party and qubits 2..p+1 to the others.
-Qubit 1 is the most significant bit of the amplitude index.
+complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
+(16 MiB per vector), checked before anything is allocated; within a GHZ
+block, qubit 1 belongs to the first party and qubits 2..p+1 to the
+others.  Qubit 1 is the most significant bit of the amplitude index, so
+in the ``(2,) * k`` axis view every kernel works on, qubit q is axis
+q - 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Iterable
@@ -46,9 +50,14 @@ __all__ = [
     "key_min_entropy_check",
 ]
 
-DEFAULT_QUBIT_CAP = 14
+DEFAULT_QUBIT_CAP = 20
 
 _NORM_ATOL = 1e-10
+
+
+def _check_cap(k: int, what: str | None = None) -> None:
+    if k > DEFAULT_QUBIT_CAP:
+        raise ValueError(f"{what or f'{k} qubits'} exceeds the qubit cap of {DEFAULT_QUBIT_CAP}")
 
 
 class StateVector:
@@ -61,13 +70,13 @@ class StateVector:
 
     __slots__ = ("_amps", "_k")
 
-    def __init__(self, amplitudes, *, cap: int = DEFAULT_QUBIT_CAP):
-        arr = np.asarray(amplitudes, dtype=np.complex128).ravel().copy()
+    def __init__(self, amplitudes):
+        arr = np.asarray(amplitudes)
         if arr.size < 2 or arr.size & (arr.size - 1):
             raise ValueError(f"amplitude count {arr.size} is not a power of two >= 2")
         k = arr.size.bit_length() - 1
-        if k > cap:
-            raise ValueError(f"{k} qubits exceeds the configured cap of {cap}")
+        _check_cap(k)
+        arr = arr.astype(np.complex128).ravel()
         norm_sq = float(np.vdot(arr, arr).real)
         if abs(norm_sq - 1.0) > _NORM_ATOL:
             raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
@@ -84,13 +93,10 @@ class StateVector:
     def qubit_count(self) -> int:
         return self._k
 
-    def tensor(self, other: "StateVector", *, cap: int = DEFAULT_QUBIT_CAP) -> "StateVector":
+    def tensor(self, other: "StateVector") -> "StateVector":
         """Tensor product, with this state's qubits first."""
-        if self._k + other._k > cap:
-            raise ValueError(
-                f"{self._k} + {other._k} qubits exceeds the configured cap of {cap}"
-            )
-        return StateVector(np.kron(self._amps, other._amps), cap=cap)
+        _check_cap(self._k + other._k, f"{self._k} + {other._k} qubits")
+        return StateVector(np.kron(self._amps, other._amps))
 
     def __repr__(self) -> str:
         return f"StateVector(qubits={self._k})"
@@ -118,7 +124,7 @@ def _bits_to_index(bits: np.ndarray) -> int:
     return value
 
 
-def ghz_state(p: int, x, y: int, *, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def ghz_state(p: int, x, y: int) -> StateVector:
     """The (p+1)-qubit GHZ basis state (|0,x> + (-1)^y |1,~x>)/sqrt(2).
 
     ``x`` is the p-bit correlation word carried by the trailing qubits and
@@ -128,36 +134,32 @@ def ghz_state(p: int, x, y: int, *, cap: int = DEFAULT_QUBIT_CAP) -> StateVector
         raise ValueError("need at least one trailing qubit (p >= 1)")
     if y not in (0, 1):
         raise ValueError("y must be a bit")
-    if p + 1 > cap:
-        raise ValueError(f"{p + 1} qubits exceeds the configured cap of {cap}")
+    _check_cap(p + 1)
     bits = _as_bit_array(x, p)
     amps = np.zeros(1 << (p + 1), dtype=np.complex128)
     amps[_bits_to_index(bits)] = 1.0 / math.sqrt(2.0)
     amps[(1 << p) | _bits_to_index(bits ^ 1)] = (-1.0) ** y / math.sqrt(2.0)
-    return StateVector(amps, cap=cap)
+    return StateVector(amps)
 
 
-def compose(*states: StateVector, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+def compose(*states: StateVector) -> StateVector:
     """Tensor product of several states, left to right."""
     if not states:
         raise ValueError("compose needs at least one state")
     out = states[0]
     for s in states[1:]:
-        out = out.tensor(s, cap=cap)
+        out = out.tensor(s)
     return out
 
 
-def random_pure_state(
-    qubit_count: int, rng: np.random.Generator, *, cap: int = DEFAULT_QUBIT_CAP
-) -> StateVector:
+def random_pure_state(qubit_count: int, rng: np.random.Generator) -> StateVector:
     """Haar-like random pure state from normalized complex Gaussians."""
     if qubit_count < 1:
         raise ValueError("need at least one qubit")
-    if qubit_count > cap:
-        raise ValueError(f"{qubit_count} qubits exceeds the configured cap of {cap}")
+    _check_cap(qubit_count)
     dim = 1 << qubit_count
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(vec / np.linalg.norm(vec), cap=cap)
+    return StateVector(vec / np.linalg.norm(vec))
 
 
 def hadamard_transform(state: StateVector) -> StateVector:
@@ -168,19 +170,7 @@ def hadamard_transform(state: StateVector) -> StateVector:
         plus = a.take(0, axis=axis) + a.take(1, axis=axis)
         minus = a.take(0, axis=axis) - a.take(1, axis=axis)
         a = np.stack((plus, minus), axis=axis)
-    return StateVector(a.reshape(-1) / math.sqrt(2.0) ** k, cap=max(k, DEFAULT_QUBIT_CAP))
-
-
-def _index_parity(idx: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each non-negative int64 index (XOR fold)."""
-    v = idx.astype(np.int64)
-    v ^= v >> 32
-    v ^= v >> 16
-    v ^= v >> 8
-    v ^= v >> 4
-    v ^= v >> 2
-    v ^= v >> 1
-    return (v & 1).astype(np.int64)
+    return StateVector(a.reshape(-1) / math.sqrt(2.0) ** k)
 
 
 def x_basis_parity_distribution(state: StateVector) -> dict:
@@ -189,10 +179,13 @@ def x_basis_parity_distribution(state: StateVector) -> dict:
     Returns ``{0: prob, 1: prob}`` computed by exact marginalization.
     """
     probs = np.abs(hadamard_transform(state).amplitudes) ** 2
-    parity = _index_parity(np.arange(probs.size))
-    p1 = float(probs[parity == 1].sum())
-    p0 = float(probs[parity == 0].sum())
-    return {0: p0, 1: p1}
+    # Fold one qubit at a time: even/odd hold the mass whose folded qubits
+    # have even/odd parity, indexed by the qubits not yet folded.
+    even, odd = probs.reshape(2, -1)
+    while even.size > 1:
+        (e0, e1), (o0, o1) = even.reshape(2, -1), odd.reshape(2, -1)
+        even, odd = e0 + o1, o0 + e1
+    return {0: float(even[0]), 1: float(odd[0])}
 
 
 def hadamard_expansion_check(
@@ -230,109 +223,74 @@ def hadamard_expansion_check(
 # positions 1 .. r(p+1) hold the Left blocks (round-major, party 0 first),
 # positions r(p+1)+1 .. 2r(p+1) the Right blocks.  In the delayed order,
 # one parity ancilla per (party, round) is appended after the system in
-# the same round-major order.
+# the same round-major order.  Block b (0-based, round-major) is thus
+# axis b on the Left, axis r(p+1) + b on the Right and axis 2r(p+1) + b
+# for its ancilla, and bit blocks-1-b of a packed Left or parity word.
 
 
-def _bit_at(idx: np.ndarray, k: int, pos: int) -> np.ndarray:
-    return (idx >> (k - pos)) & 1
+def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
+    """CNOT on the axis view: flip the target axis of the control=1 slice."""
+    out = a.copy()
+    one = (slice(None),) * control + (1,)
+    out[one] = np.flip(a[one], axis=target - (target > control))
+    return out
 
 
-def _apply_cnot(amps: np.ndarray, k: int, control: int, target: int) -> np.ndarray:
-    idx = np.arange(amps.size)
-    tmask = 1 << (k - target)
-    sel = _bit_at(idx, k, control) == 1
-    perm = np.where(sel, idx ^ tmask, idx)
-    return amps[perm]
+def _sieve_table(blocks: int, state: StateVector, order: str) -> np.ndarray:
+    """Joint table ``P[Left bits, parity bits]`` of one measurement order."""
+    size = 1 << blocks
+    if order == "direct":
+        probs = np.abs(state.amplitudes.reshape(size, size)) ** 2
+        left = np.arange(size)[:, None]
+        table = np.empty_like(probs)
+        table[left, left ^ np.arange(size)] = probs
+        return table
+    if order != "delayed":
+        raise ValueError(f"unknown measurement order {order!r}")
+    system = 2 * blocks
+    _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
+    amps = np.zeros((1 << system, size), dtype=np.complex128)
+    amps[:, 0] = state.amplitudes
+    amps = amps.reshape((2,) * (system + blocks))
+    for b in range(blocks):
+        amps = _apply_cnot(amps, b, system + b)
+        amps = _apply_cnot(amps, blocks + b, system + b)
+    probs = np.abs(amps) ** 2
+    return probs.sum(axis=tuple(range(blocks, system))).reshape(size, size)
 
 
-def _sieve_key_probs(p: int, rounds: int, state: StateVector, order: str, cap: int) -> np.ndarray:
+def _sieve_key_probs(p: int, rounds: int, state: StateVector, order: str) -> np.ndarray:
     """Dense probability vector over packed (parities, masked kept bits) keys."""
     parties = p + 1
     blocks = rounds * parties
-    system = 2 * blocks
-    if state.qubit_count != system:
+    if state.qubit_count != 2 * blocks:
         raise ValueError(
-            f"state has {state.qubit_count} qubits, sieve layout needs {system}"
+            f"state has {state.qubit_count} qubits, sieve layout needs {2 * blocks}"
         )
-
-    def left_pos(j, i):
-        return (i - 1) * parties + j + 1
-
-    def right_pos(j, i):
-        return blocks + left_pos(j, i)
-
-    if order == "direct":
-        k = system
-        probs = np.abs(state.amplitudes) ** 2
-        idx = np.arange(probs.size)
-        parity_bits = [
-            _bit_at(idx, k, left_pos(j, i)) ^ _bit_at(idx, k, right_pos(j, i))
-            for i in range(1, rounds + 1)
-            for j in range(parties)
-        ]
-        left_bits = [
-            _bit_at(idx, k, left_pos(j, i))
-            for i in range(1, rounds + 1)
-            for j in range(parties)
-        ]
-    elif order == "delayed":
-        k = system + blocks
-        if k > cap:
-            raise ValueError(f"{system} qubits + {blocks} ancillas exceeds the cap of {cap}")
-        amps = np.zeros(1 << k, dtype=np.complex128)
-        amps[np.arange(state.amplitudes.size) << blocks] = state.amplitudes
-        for i in range(1, rounds + 1):
-            for j in range(parties):
-                anc = system + (i - 1) * parties + j + 1
-                amps = _apply_cnot(amps, k, left_pos(j, i), anc)
-                amps = _apply_cnot(amps, k, right_pos(j, i), anc)
-        probs = np.abs(amps) ** 2
-        idx = np.arange(probs.size)
-        parity_bits = [
-            _bit_at(idx, k, system + (i - 1) * parties + j + 1)
-            for i in range(1, rounds + 1)
-            for j in range(parties)
-        ]
-        left_bits = [
-            _bit_at(idx, k, left_pos(j, i))
-            for i in range(1, rounds + 1)
-            for j in range(parties)
-        ]
-    else:
-        raise ValueError(f"unknown measurement order {order!r}")
+    table = _sieve_table(blocks, state, order)
 
     # A round is accepted when every party reports the same parity as
     # party 0; kept bits outside accepted rounds are zeroed so that the
     # packed key identifies the record uniquely.
-    parity_int = np.zeros(probs.size, dtype=np.int64)
-    left_int = np.zeros(probs.size, dtype=np.int64)
-    accept_mask = np.zeros(probs.size, dtype=np.int64)
-    for b, (pb, lb) in enumerate(zip(parity_bits, left_bits)):
-        parity_int |= pb.astype(np.int64) << b
-        left_int |= lb.astype(np.int64) << b
-    for i in range(1, rounds + 1):
-        base = (i - 1) * parties
-        ref = parity_bits[base]
-        acc = np.ones(probs.size, dtype=bool)
-        for j in range(1, parties):
-            acc &= parity_bits[base + j] == ref
-        round_mask = ((1 << parties) - 1) << base
-        accept_mask |= np.where(acc, round_mask, 0)
-    key = (parity_int << blocks) | (left_int & accept_mask)
-    return np.bincount(key, weights=probs, minlength=1 << (2 * blocks))
+    size = 1 << blocks
+    words = np.arange(size)
+    weights = 1 << np.arange(blocks - 1, -1, -1)
+    by_round = ((words[:, None] & weights) != 0).reshape(size, rounds, parties)
+    accepted = (by_round == by_round[:, :, :1]).all(axis=2)
+    keep = np.repeat(accepted, parties, axis=1) @ weights
+    key = (words << blocks) | (words[:, None] & keep)
+    return np.bincount(key.ravel(), weights=table.ravel(), minlength=size * size)
 
 
 def _decode_sieve_key(key: int, p: int, rounds: int) -> tuple:
     parties = p + 1
     blocks = rounds * parties
-    parity_int = key >> blocks
-    kept_int = key & ((1 << blocks) - 1)
-    parities = tuple((parity_int >> b) & 1 for b in range(blocks))
+    bits = [(key >> (2 * blocks - 1 - b)) & 1 for b in range(2 * blocks)]
+    parities = tuple(bits[:blocks])
     kept = []
-    for i in range(rounds):
-        base = i * parties
-        if all(parities[base + j] == parities[base] for j in range(parties)):
-            kept.extend((kept_int >> (base + j)) & 1 for j in range(parties))
+    for base in range(0, blocks, parties):
+        if len(set(parities[base : base + parties])) == 1:
+            kept.extend(bits[blocks + base : blocks + base + parties])
     return parities, tuple(kept)
 
 
@@ -342,7 +300,6 @@ def cad_record_distribution(
     state: StateVector,
     *,
     order: str = "direct",
-    cap: int = DEFAULT_QUBIT_CAP,
 ) -> dict:
     """Joint distribution of parity announcements and kept key bits.
 
@@ -353,7 +310,7 @@ def cad_record_distribution(
     both round-major with party 0 first; ``kept`` contains every party's
     Left-qubit outcome for accepted rounds only.
     """
-    dense = _sieve_key_probs(p, rounds, state, order, cap)
+    dense = _sieve_key_probs(p, rounds, state, order)
     return {
         _decode_sieve_key(int(key), p, rounds): float(prob)
         for key, prob in enumerate(dense)
@@ -361,22 +318,14 @@ def cad_record_distribution(
     }
 
 
-def cad_delayed_measurement_equivalence(
-    p: int, rounds: int, state: StateVector, *, cap: int = DEFAULT_QUBIT_CAP
-) -> float:
+def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector) -> float:
     """Total variation distance between the direct and delayed sieve records."""
-    direct = _sieve_key_probs(p, rounds, state, "direct", cap)
-    delayed = _sieve_key_probs(p, rounds, state, "delayed", cap)
+    direct = _sieve_key_probs(p, rounds, state, "direct")
+    delayed = _sieve_key_probs(p, rounds, state, "delayed")
     return 0.5 * float(np.abs(direct - delayed).sum())
 
 
-def key_min_entropy_check(
-    n: int,
-    p: int,
-    parity_words: Iterable,
-    *,
-    cap: int = DEFAULT_QUBIT_CAP,
-) -> tuple:
+def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
     """Min-entropy of first-qubit outcomes for a restricted GHZ superposition.
 
     Builds the uniform superposition of n-block GHZ products whose per-block
@@ -394,19 +343,18 @@ def key_min_entropy_check(
     if any(len(w) != n for w in words):
         raise ValueError(f"every parity word must have length {n}")
     k = n * (p + 1)
-    if k > cap:
-        raise ValueError(f"{k} qubits exceeds the configured cap of {cap}")
+    _check_cap(k)
 
-    amps = np.zeros(1 << k, dtype=np.complex128)
-    for y in words:
-        for x_bits in itertools.product((0, 1), repeat=p * n):
-            blocks = [
-                ghz_state(p, x_bits[i * p : (i + 1) * p], int(y[i]), cap=cap)
-                for i in range(n)
-            ]
-            amps += compose(*blocks, cap=cap).amplitudes
-    amps /= np.linalg.norm(amps)
-    state = StateVector(amps, cap=cap)
+    # Summed over its correlation word, a GHZ block is
+    # (|0> + (-1)^y |1>) (x) sum_x |x> / sqrt(2): the phase bit lives on the
+    # first qubit alone and the trailing qubits are uniform.
+    heads = sum(
+        functools.reduce(np.kron, [np.array([1.0, (-1.0) ** int(b)]) / math.sqrt(2.0) for b in y])
+        for y in words
+    )
+    block_axes = ((2,) + (1,) * p) * n
+    amps = np.broadcast_to(heads.reshape(block_axes), (2,) * k).astype(np.complex128, order="C")
+    state = StateVector(amps / np.linalg.norm(amps))
 
     probs = np.abs(state.amplitudes.reshape((2,) * k)) ** 2
     kept_axes = {i * (p + 1) for i in range(n)}

@@ -62,6 +62,13 @@ class TestUsageErrors:
          "--q", "0", "--qz", "0"),
         ("sweep-q", "--signals", "1e6", "--q-max", "1e9", "--q-step", "1e-9", "--qz", "0"),
         ("simulate", "--signals", "1e20", "--m", "10", "--q", "0.1", "--qz", "0.1"),
+        ("rate", "--signals", "1e6", "--q", "0.01", "--qz", "0.01", "--p", "1e9"),
+        ("rate", "--signals", "1e6", "--q", "0.01", "--qz", "0.01", "--p", "1001"),
+        ("rate", "--signals", "1e6", "--q", "0.01", "--qz", "0.01", "--p", "-1"),
+        ("simulate", "--signals", "1e4", "--m", "100", "--q", "0", "--qz", "0",
+         "--trials", "1e9"),
+        ("simulate", "--signals", "1e4", "--m", "100", "--q", "0", "--qz", "0",
+         "--p", "2", "--trials", "500001"),
     ])
     def test_unbounded_sizes_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -310,6 +317,22 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith(f"error: {cfg}:2: ")
+
+    def test_config_supplies_required_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("signals = 1e6\nq = 0.05\nqz = 0.02\n")
+        code, out, _ = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == EXIT_OK
+        record = dict(zip(REPORT_FIELDS, next(csv.reader(io.StringIO(out.split(chr(10))[1])))))
+        assert (record["signals"], record["q"], record["qz"]) == ("1000000", "0.05", "0.02")
+
+    def test_flags_missing_after_config_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q = 0.05\n")
+        code, out, err = run_cli(capsys, "rate", "--signals", "1e6", "--config", str(cfg))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: the following arguments are required: --qz\n"
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from qcka_cad.ghzsim import (
+    DEFAULT_QUBIT_CAP,
     StateVector,
-    _index_parity,
     cad_delayed_measurement_equivalence,
     cad_record_distribution,
     compose,
@@ -33,10 +33,17 @@ class TestStateVector:
             StateVector([1.0, 0.0, 0.0])
 
     def test_qubit_cap(self):
+        # Every input is one qubit past the cap; each is rejected before
+        # its amplitudes are built.
+        assert DEFAULT_QUBIT_CAP == 20
         with pytest.raises(ValueError, match="cap"):
-            StateVector(np.eye(1 << 4)[0], cap=3)
+            StateVector(np.broadcast_to(0.0, 1 << 21))
         with pytest.raises(ValueError, match="cap"):
-            ghz_state(4, "0000", 0, cap=4)
+            ghz_state(20, [0] * 20, 0)
+        with pytest.raises(ValueError, match="cap"):
+            random_pure_state(21, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="cap"):
+            ghz_state(10, [0] * 10, 0).tensor(ghz_state(9, [0] * 9, 0))
 
     def test_amplitudes_read_only(self):
         s = ghz_state(1, "0", 0)
@@ -101,15 +108,9 @@ class TestParityDistribution:
         # Indices of 17 and 18 qubits have set bits above bit 15.
         for p in (16, 17):
             for y in (0, 1):
-                dist = x_basis_parity_distribution(ghz_state(p, [0] * p, y, cap=18))
+                dist = x_basis_parity_distribution(ghz_state(p, [0] * p, y))
                 assert dist[y] == pytest.approx(1.0, abs=1e-12)
                 assert dist[1 - y] == pytest.approx(0.0, abs=1e-12)
-
-    def test_index_parity_covers_int64(self):
-        rng = np.random.default_rng(17)
-        idx = np.concatenate([1 << np.arange(63), rng.integers(0, 2**63 - 1, size=200)])
-        expect = [bin(int(i)).count("1") % 2 for i in idx]
-        assert _index_parity(idx).tolist() == expect
 
     def test_all_zero_state_is_uniform(self):
         for k in range(1, 6):
@@ -187,16 +188,44 @@ class TestSieveEquivalence:
                 tv = cad_delayed_measurement_equivalence(p, rounds, state)
                 assert tv <= 1e-9
 
+    def test_records_match_basis_enumeration(self):
+        # Both orders share one masking path, so check it against the sieve
+        # applied by hand to every basis index of the documented layout.
+        rng = np.random.default_rng(41)
+        for p, rounds in ((1, 1), (2, 1), (1, 2)):
+            parties = p + 1
+            blocks = rounds * parties
+            k = 2 * blocks
+            for _ in range(5):
+                state = random_pure_state(k, rng)
+                expect = {}
+                for idx, amp in enumerate(state.amplitudes):
+                    bits = [(idx >> (k - pos)) & 1 for pos in range(1, k + 1)]
+                    left, right = bits[:blocks], bits[blocks:]
+                    parities = tuple(a ^ b for a, b in zip(left, right))
+                    kept = ()
+                    for base in range(0, blocks, parties):
+                        if len(set(parities[base:base + parties])) == 1:
+                            kept += tuple(left[base:base + parties])
+                    record = (parities, kept)
+                    expect[record] = expect.get(record, 0.0) + abs(amp) ** 2
+                for order in ("direct", "delayed"):
+                    dist = cad_record_distribution(p, rounds, state, order=order)
+                    assert dist.keys() == expect.keys()
+                    for record, prob in expect.items():
+                        assert dist[record] == pytest.approx(prob, abs=1e-12)
+
     def test_layout_validation(self):
         state = ghz_state(1, "0", 0)
         with pytest.raises(ValueError, match="layout|qubits"):
             cad_delayed_measurement_equivalence(1, 1, state)
 
     def test_ancilla_cap(self):
+        # Four parties over two rounds: 16 system qubits plus 8 ancillas.
         rng = np.random.default_rng(3)
-        state = random_pure_state(8, rng)
-        with pytest.raises(ValueError, match="cap"):
-            cad_delayed_measurement_equivalence(1, 2, state, cap=10)
+        state = random_pure_state(16, rng)
+        with pytest.raises(ValueError, match="16 qubits \\+ 8 ancillas.*cap"):
+            cad_delayed_measurement_equivalence(3, 2, state)
 
 
 class TestKeyMinEntropy:
@@ -236,7 +265,7 @@ class TestKeyMinEntropy:
         with pytest.raises(ValueError, match="length"):
             key_min_entropy_check(2, 1, ["0"])
         with pytest.raises(ValueError, match="cap"):
-            key_min_entropy_check(4, 3, ["0000"])
+            key_min_entropy_check(7, 2, ["0000000"])
 
 
 class TestRandomPureState:
