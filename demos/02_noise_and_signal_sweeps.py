@@ -8,13 +8,17 @@ Two sweeps are computed with the test size optimized at every point:
   * rate versus the total signal count for the asymmetric configuration,
     showing the finite threshold where the rate first turns positive.
 
-Tables are written next to this script as sweep_q.csv and sweep_n.csv;
-any plotting tool can consume them.  The same tables are available from
-the command line via `qcka-cad sweep-q` and `qcka-cad sweep-n`.
+Tables are written as sweep_q.csv and sweep_n.csv to the directory
+given as the first argument, or to the current directory; any plotting
+tool can consume them.  The same tables are available from the command
+line via `qcka-cad sweep-q` and `qcka-cad sweep-n`.
+
+    python demos/02_noise_and_signal_sweeps.py [OUT_DIR]
 """
 
 import csv
 import pathlib
+import sys
 
 import numpy as np
 
@@ -22,7 +26,6 @@ from qcka_cad import NoiseModel, optimize_m
 
 EPSILON = 1e-36
 SIGNALS = 10**7
-HERE = pathlib.Path(__file__).resolve().parent
 
 
 def sweep_q(path):
@@ -63,8 +66,9 @@ def sweep_n(path):
 
 
 def main():
-    sweep_q(HERE / "sweep_q.csv")
-    sweep_n(HERE / "sweep_n.csv")
+    out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
+    sweep_q(out_dir / "sweep_q.csv")
+    sweep_n(out_dir / "sweep_n.csv")
 
 
 if __name__ == "__main__":

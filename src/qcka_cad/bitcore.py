@@ -11,56 +11,55 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-import numpy as np
-
 __all__ = ["BitString", "binary_entropy"]
+
+_FROM_ASCII = bytes.maketrans(b"01", b"\x00\x01")
+_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class BitString:
     """An immutable word of bits with 1-based indexing.
 
-    Accepts a string of ``'0'``/``'1'`` characters, an iterable of 0/1
-    integers, or a numpy array.  Empty words are rejected.
+    Accepts a string of ``'0'``/``'1'`` characters or an iterable of 0/1
+    values (integers, booleans or a numpy array).  Empty words are
+    rejected.  The bits are held as ``bytes``, one 0/1 byte per bit.
     """
 
     __slots__ = ("_bits",)
 
-    def __init__(self, bits: "str | Iterable[int] | np.ndarray"):
+    def __init__(self, bits: "str | Iterable[int]"):
         if isinstance(bits, str):
-            if not all(c in "01" for c in bits):
+            if bits.strip("01"):
                 raise ValueError(f"not a binary word: {bits!r}")
-            arr = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) - ord("0")
+            data = bits.encode("ascii").translate(_FROM_ASCII)
         else:
-            arr = np.asarray(bits, dtype=np.uint8).ravel()
-            if arr.size and not np.all((arr == 0) | (arr == 1)):
+            values = list(bits)
+            if not all(b == 0 or b == 1 for b in values):
                 raise ValueError("bits must be 0 or 1")
-        if arr.size == 0:
+            data = bytes(1 if b == 1 else 0 for b in values)
+        if not data:
             raise ValueError("empty word")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "_bits", arr)
+        object.__setattr__(self, "_bits", data)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
 
     def __len__(self) -> int:
-        return int(self._bits.size)
+        return len(self._bits)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(b) for b in self._bits)
+        return iter(self._bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self._bits.shape == other._bits.shape and bool(
-            np.all(self._bits == other._bits)
-        )
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash(self._bits.tobytes())
+        return hash(self._bits)
 
     def __str__(self) -> str:
-        return "".join("1" if b else "0" for b in self._bits)
+        return self._bits.translate(_TO_ASCII).decode("ascii")
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
@@ -68,22 +67,18 @@ class BitString:
     def __xor__(self, other: "BitString") -> "BitString":
         if len(self) != len(other):
             raise ValueError("length mismatch in XOR")
-        return BitString(np.bitwise_xor(self._bits, other._bits))
+        return BitString(a ^ b for a, b in zip(self._bits, other._bits))
 
     def bit(self, i: int) -> int:
         """Return the bit at 1-based position ``i``."""
         if not 1 <= i <= len(self):
             raise IndexError(f"position {i} out of range [1, {len(self)}]")
-        return int(self._bits[i - 1])
+        return self._bits[i - 1]
 
     @property
     def weight(self) -> int:
         """Number of ones in the word."""
-        return int(self._bits.sum())
-
-    def to_array(self) -> np.ndarray:
-        """Bits as a fresh uint8 array."""
-        return self._bits.copy()
+        return self._bits.count(1)
 
 
 def binary_entropy(x: float) -> float:

@@ -25,21 +25,14 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 
-import numpy as np
-
-from .keyrate import KeyRateReport, key_length, optimize_m
-from .protosim import (
-    NoiseModel,
-    ProtocolParams,
-    aggregate,
-    analytic_pa,
-    analytic_qx,
-    postcad_error_rates,
-    run_trial,
-)
-from .verify import CheckError, selftest_checks
+# protosim and verify are the package's lazy modules: only simulate and
+# selftest execute them, and with them numpy.
+from . import protosim, verify
+from .keyrate import KeyRateReport, geometric_grid, key_length, optimize_m
+from .model import NoiseModel, ProtocolParams, analytic_pa, analytic_qx, postcad_error_rates
 
 __all__ = ["main", "REPORT_FIELDS", "simulate_fields"]
 
@@ -76,7 +69,7 @@ REPORT_FIELDS = [
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     if isinstance(value, float):
         return f"{value:.12g}"
@@ -380,7 +373,7 @@ def cmd_sweep_q(args) -> int:
 def cmd_sweep_n(args) -> int:
     if args.signals_max < args.signals_min or not 1 <= args.points <= MAX_SWEEP_POINTS:
         raise _CliError(f"need signals-min <= signals-max and 1 <= points <= {MAX_SWEEP_POINTS}")
-    grid = np.geomspace(args.signals_min, args.signals_max, num=args.points)
+    grid = geometric_grid(args.signals_min, args.signals_max, args.points)
     totals = sorted({max(2, 2 * int(round(v / 2))) for v in grid})
     noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
     reports = [_point_report(args, total // 2, noise) for total in totals]
@@ -410,7 +403,7 @@ def cmd_simulate(args) -> int:
     else:
         m = args.m
     params = ProtocolParams(args.bobs, half, m, args.epsilon, seed=args.seed)
-    outcomes = [run_trial(params, noise, trial_index=i) for i in range(args.trials)]
+    outcomes = [protosim.run_trial(params, noise, trial_index=i) for i in range(args.trials)]
 
     qx_a = analytic_qx(noise.x_error)
     pa_a = analytic_pa(noise.z_errors)
@@ -436,7 +429,7 @@ def cmd_simulate(args) -> int:
             rec[f"postcad_independent_{j + 1}"] = indep[j]
         records.append(rec)
 
-    stats = aggregate(outcomes)
+    stats = protosim.aggregate(outcomes)
     fields = simulate_fields(args.bobs)
     sources = {"n_a": "accepted", "n_r": "rejected", "accepted_fraction": "accepted"}
     summary = {}
@@ -470,8 +463,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_selftest(args) -> int:
     try:
-        results = selftest_checks(seed=args.seed, quick=args.quick)
-    except CheckError as exc:
+        results = verify.selftest_checks(seed=args.seed, quick=args.quick)
+    except verify.CheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SELFTEST
     if args.format == "json":

@@ -103,10 +103,11 @@ class StateVector:
 
 
 def _as_bit_array(x: "BitString | str | Iterable[int]", length: int | None = None) -> np.ndarray:
+    """A word's bits as a fresh uint8 array."""
+    if isinstance(x, str):
+        x = BitString(x)
     if isinstance(x, BitString):
-        arr = x.to_array()
-    elif isinstance(x, str):
-        arr = BitString(x).to_array()
+        arr = np.fromiter(x, dtype=np.uint8, count=len(x))
     else:
         arr = np.asarray(list(x), dtype=np.uint8)
         if arr.size and not np.all((arr == 0) | (arr == 1)):

@@ -19,17 +19,20 @@ Failure bookkeeping for security parameter eps:
     eps_prime = 4*eps + 2*eps^(1/3)   (smoothing of the entropy bound)
     eps_fail  = 2*eps^(1/3)           (probability the bound fails)
     eps_PA    = 9*eps + 2*eps^(1/3)   (distance of the extracted key)
+
+The engine evaluates the closed forms of :mod:`qcka_cad.model` and
+imports only the standard library, so the ``rate`` and ``sweep-*``
+commands start without loading numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bitcore import binary_entropy
-from .protosim import NoiseModel, ProtocolParams, analytic_pa, analytic_qx, postcad_error_rates
+from .model import NoiseModel, ProtocolParams, analytic_pa, analytic_qx, postcad_error_rates
 from .sampling import delta_from_epsilon
 
 __all__ = [
@@ -43,11 +46,41 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=256)
+def _cbrt(x: float) -> float:
+    """Correctly rounded cube root of a positive finite float.
+
+    ``x ** (1/3)`` is off by many ulps for small x (1/3 is not a float)
+    and misses exact cubes, so it only seeds the search: one Newton step,
+    then a walk to the float whose rounding interval holds the root.
+    """
+    mant, exp = math.frexp(x)
+    shift, rest = divmod(exp, 3)
+    s = math.ldexp(mant, rest)  # x = s * 2**(3 * shift) with 0.5 <= s < 4
+    y = s ** (1.0 / 3.0)
+    y -= (y * y * y - s) / (3.0 * y * y)
+
+    # Floats near the root of s are multiples of 2**-60, so comparing the
+    # midpoint (y + neighbour) / 2 cubed with s is exact in integers.
+    def fixed(v: float) -> int:
+        return int(math.ldexp(v, 60))
+
+    target = 8 * fixed(s) << 120
+    while True:
+        below, above = math.nextafter(y, 0.0), math.nextafter(y, 4.0)
+        if (fixed(below) + fixed(y)) ** 3 > target:
+            y = below
+        elif (fixed(y) + fixed(above)) ** 3 < target:
+            y = above
+        else:
+            return math.ldexp(y, shift)  # the root is a normal float: exact
+
+
 def epsilon_constants(epsilon: float) -> tuple:
     """(eps_prime, eps_fail, eps_PA) for a security parameter eps."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    root = float(np.cbrt(epsilon))  # np.cbrt is exact on exact cubes, ** (1/3) is not
+    root = _cbrt(epsilon)
     return 4.0 * epsilon + 2.0 * root, 2.0 * root, 9.0 * epsilon + 2.0 * root
 
 
@@ -78,7 +111,7 @@ def leak_ec(
     """Error-correction disclosure n_a * max_j h(e_j) + log2(2p/eps).
 
     ``e_j`` is the post-sieve error rate of party j, per
-    :func:`qcka_cad.protosim.postcad_error_rates`; rates are clamped to
+    :func:`qcka_cad.model.postcad_error_rates`; rates are clamped to
     [0, 1/2] before the entropy evaluation.
     """
     if pa <= 0.0:
@@ -179,6 +212,24 @@ def key_length(
     )
 
 
+def geometric_grid(lo: float, hi: float, num: int) -> list:
+    """``num`` floats from ``lo`` to ``hi`` in geometric progression.
+
+    Evaluated as ``numpy.geomspace`` does it, 10 ** (k * step + log10(lo))
+    with both ends set exactly.  numpy's ``log10`` and ``power`` can differ
+    from the C library's in the last bit, so a point may round to another
+    integer than numpy's when it lies within an ulp of a half-integer;
+    below about 1e12 that was not seen on 10^5 sampled grids.
+    """
+    if num == 1:
+        return [float(lo)]
+    log_lo = math.log10(lo)
+    step = (math.log10(hi) - log_lo) / (num - 1)
+    points = [10.0 ** (k * step + log_lo) for k in range(num)]
+    points[0], points[-1] = float(lo), float(hi)
+    return points
+
+
 def _with_flag(report: KeyRateReport, flag: str) -> KeyRateReport:
     return replace(report, flags=report.flags + (flag,))
 
@@ -201,7 +252,7 @@ def optimize_m(
     m_max = math.ceil(half_signals / 2) - 1
     if m_max < 1:
         raise ValueError("half_signals too small for any valid test size")
-    if float(m_max) >= 2.0**63:  # the grid's top point would not fit in int64
+    if float(m_max) >= 2.0**63:  # test sizes stay below 2**63, as int64 counts
         raise ValueError(f"half_signals {half_signals} too large for the test-size grid")
 
     cache: dict = {}
@@ -212,19 +263,17 @@ def optimize_m(
             cache[m] = key_length(params, noise, error_formula=error_formula)
         return cache[m].rate
 
-    grid = np.unique(
-        np.clip(np.round(np.geomspace(1, m_max, num=64)).astype(int), 1, m_max)
-    )
+    grid = sorted({min(max(round(v), 1), m_max) for v in geometric_grid(1, m_max, 64)})
     for m in grid:
-        rate_at(int(m))
+        rate_at(m)
 
-    if all(cache[int(m)].rate == 0.0 for m in grid):
-        mid = int(grid[len(grid) // 2])
+    if all(cache[m].rate == 0.0 for m in grid):
+        mid = grid[len(grid) // 2]
         return mid, _with_flag(cache[mid], "no positive rate")
 
-    best_idx = max(range(len(grid)), key=lambda i: (cache[int(grid[i])].rate, -grid[i]))
-    lo = int(grid[best_idx - 1]) if best_idx > 0 else 1
-    hi = int(grid[best_idx + 1]) if best_idx + 1 < len(grid) else m_max
+    best_idx = max(range(len(grid)), key=lambda i: (cache[grid[i]].rate, -grid[i]))
+    lo = grid[best_idx - 1] if best_idx > 0 else 1
+    hi = grid[best_idx + 1] if best_idx + 1 < len(grid) else m_max
 
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     while hi - lo > 3:

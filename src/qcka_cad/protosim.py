@@ -4,9 +4,10 @@ One trial simulates the classical shadow of a full protocol execution:
 the X-basis test statistic over the sampled blocks, Z-basis raw keys for
 the remaining blocks, and the two-bit parity sieve that accepts a block
 only when every party announces the same parity.  The channel model is
-i.i.d.: an X-basis flip with probability ``x_error`` per round half, and
-an independent Z-basis flip with probability ``z_errors[j]`` per round
-half between the reference party and party j+1.
+the i.i.d. one of :mod:`qcka_cad.model`: an X-basis flip with
+probability ``x_error`` per round half, and an independent Z-basis flip
+with probability ``z_errors[j]`` per round half between the reference
+party and party j+1.
 
 That independence is the only assumption the simulator uses.  It makes
 blocks exchangeable and parties independent, so a trial is fully
@@ -15,7 +16,8 @@ directly: O(p) binomial draws per trial, with time and memory
 independent of the signal count.  Per-block probabilities come from
 enumerating each party's four (left, right) flip pairs and applying the
 sieve rule to them in code, never from the closed forms
-(:func:`analytic_qx`, :func:`analytic_pa`, :func:`postcad_error_rates`)
+(:func:`analytic_qx`, :func:`analytic_pa`, :func:`postcad_error_rates`,
+re-exported here from :mod:`qcka_cad.model` with the parameter records)
 that the simulator is used to cross-check.  Neither the reference
 party's raw bits nor the protocol's initial random permutation affects
 any count, so neither is drawn.
@@ -31,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import NoiseModel, ProtocolParams, analytic_pa, analytic_qx, postcad_error_rates
+
 __all__ = [
     "NoiseModel",
     "ProtocolParams",
@@ -42,59 +46,6 @@ __all__ = [
     "run_trial",
     "aggregate",
 ]
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """X-basis flip rate and per-party Z-basis flip rates, all in [0, 1/2]."""
-
-    x_error: float
-    z_errors: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "z_errors", tuple(float(z) for z in self.z_errors))
-        if not 0.0 <= self.x_error <= 0.5:
-            raise ValueError("x_error must lie in [0, 0.5]")
-        if not self.z_errors:
-            raise ValueError("at least one Z-error rate is required")
-        if any(not 0.0 <= z <= 0.5 for z in self.z_errors):
-            raise ValueError("every z_error must lie in [0, 0.5]")
-
-
-@dataclass(frozen=True)
-class ProtocolParams:
-    """Public protocol parameters.
-
-    ``half_signals`` is N, half the total signal count: the protocol
-    consumes 2N signals arranged as N two-round blocks.  ``test_size``
-    blocks are measured in X for testing, the remaining N - test_size in
-    Z for key material.
-    """
-
-    bobs: int
-    half_signals: int
-    test_size: int
-    epsilon: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.bobs < 1:
-            raise ValueError("need at least one non-reference party")
-        if self.test_size < 1:
-            raise ValueError("test size must be positive")
-        if 2 * self.test_size >= self.half_signals:
-            raise ValueError("test size must satisfy m < N/2")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
-
-    @property
-    def key_blocks(self) -> int:
-        """Number of key blocks n = N - m."""
-        return self.half_signals - self.test_size
-
-    @property
-    def total_signals(self) -> int:
-        return 2 * self.half_signals
 
 
 @dataclass(frozen=True)
@@ -111,44 +62,6 @@ class TrialOutcome:
     rejected: int
     postcad_error: tuple
     keys_equal_fraction: float
-
-
-def analytic_qx(x_error: float) -> float:
-    """Expected X-basis block error rate 2Q(1-Q) for per-half flip rate Q."""
-    if not 0.0 <= x_error <= 0.5:
-        raise ValueError("x_error must lie in [0, 0.5]")
-    return 2.0 * x_error * (1.0 - x_error)
-
-
-def analytic_pa(z_errors) -> float:
-    """Expected sieve acceptance probability: prod_j (QZ_j^2 + (1-QZ_j)^2)."""
-    z_errors = tuple(z_errors)
-    if not z_errors:
-        raise ValueError("at least one Z-error rate is required")
-    out = 1.0
-    for z in z_errors:
-        out *= z * z + (1.0 - z) * (1.0 - z)
-    return out
-
-
-def postcad_error_rates(z_errors, formula: str = "conservative") -> tuple:
-    """Per-party kept-bit error rates after the sieve.
-
-    ``"independent"`` is the exact conditional rate under this module's
-    i.i.d. noise model, QZ_j^2 / (QZ_j^2 + (1-QZ_j)^2): conditioning on
-    party j's own parity match only, since the other parties' noise is
-    independent of party j's bits.  ``"conservative"`` divides by the
-    full acceptance probability instead, QZ_j^2 / p_a, which is larger
-    whenever there are two or more parties with noise; the published
-    evaluation uses this variant.  The two coincide for a single party.
-    """
-    z_errors = tuple(z_errors)
-    if formula == "conservative":
-        pa = analytic_pa(z_errors)
-        return tuple(z * z / pa for z in z_errors)
-    if formula == "independent":
-        return tuple(z * z / (z * z + (1.0 - z) * (1.0 - z)) for z in z_errors)
-    raise ValueError(f"unknown post-sieve error formula {formula!r}")
 
 
 def _trial_generator(seed: int, trial_index: int) -> np.random.Generator:

@@ -9,72 +9,44 @@ exact failure probability of a fixed word, a hypergeometric tail sum used
 as an oracle against the bound.
 
 Failure probabilities reach 1e-72 in production parameter ranges, so the
-bound is also exposed in log space.
+bound is given in log space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bitcore import BitString
 
 __all__ = [
-    "SamplingParams",
     "sampling_failure_log",
-    "epsilon_cl_bound",
-    "epsilon_cl_log_bound",
     "delta_from_epsilon",
     "empirical_sampling_failure",
 ]
 
 
-@dataclass(frozen=True)
-class SamplingParams:
-    """Population size N, sample size m < N/2, and deviation delta."""
-
-    population: int
-    sample_size: int
-    delta: float
-
-    def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be at least 2")
-        if not 1 <= self.sample_size:
-            raise ValueError("sample size must be positive")
-        if 2 * self.sample_size >= self.population:
-            raise ValueError("sample size must satisfy m < N/2")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-
-
 def sampling_failure_log(population: int, sample_size: int, delta: float) -> float:
     """Natural log of the sampling failure bound 2 exp(-delta^2 m N/(N+2)).
 
-    Raw kernel: accepts any delta > 0, including values above 1 where the
-    bound is vacuous, so it is an exact log-space inverse of
-    :func:`delta_from_epsilon` everywhere.
+    Needs 1 <= m < N/2 and delta > 0.  Values of delta above 1, where no
+    subset can fail, are accepted, so this is an exact log-space inverse
+    of :func:`delta_from_epsilon` everywhere; ``min(1, exp(...))`` is the
+    bound as a probability.
     """
+    if sample_size < 1:
+        raise ValueError("sample size must be positive")
+    if 2 * sample_size >= population:
+        raise ValueError("sample size must satisfy m < N/2")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     return math.log(2.0) - delta * delta * sample_size * population / (population + 2.0)
 
 
-def epsilon_cl_log_bound(params: SamplingParams) -> float:
-    """Natural log of the sampling failure bound for a parameter set."""
-    return sampling_failure_log(params.population, params.sample_size, params.delta)
-
-
-def epsilon_cl_bound(params: SamplingParams) -> float:
-    """The sampling failure bound, clamped to 1 for reporting."""
-    return min(1.0, math.exp(epsilon_cl_log_bound(params)))
-
-
 def delta_from_epsilon(population: int, sample_size: int, epsilon: float) -> float:
     """Deviation delta with failure bound epsilon^2 for the given sample.
 
-    Chosen so that ``epsilon_cl_bound`` at the returned delta equals
-    epsilon^2, i.e. the square root of the failure bound equals epsilon.
+    Chosen so that the bound of :func:`sampling_failure_log` at the
+    returned delta equals epsilon^2, i.e. the square root of the failure bound equals epsilon.
     Evaluated via log(epsilon) directly, so epsilon as small as 1e-36 is
     safe.
     """

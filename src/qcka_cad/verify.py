@@ -123,6 +123,10 @@ def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
             f"min (hmin - bound) over {trials} random parity sets per config")
 
 
+def _sampling_bound(n_pop: int, m: int, delta: float) -> float:
+    return min(1.0, math.exp(sampling.sampling_failure_log(n_pop, m, delta)))
+
+
 @_check("sampling-exhaustive")
 def check_sampling_exhaustive(seeds: np.random.SeedSequence):
     rng = np.random.Generator(np.random.Philox(seeds))
@@ -133,12 +137,12 @@ def check_sampling_exhaustive(seeds: np.random.SeedSequence):
             BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
         ]
         for delta in (0.25, 0.4):
-            bound = sampling.epsilon_cl_bound(sampling.SamplingParams(n_pop, m, delta))
+            bound = _sampling_bound(n_pop, m, delta)
             for q in words:
                 fail = sampling.empirical_sampling_failure(q, m, delta)
                 worst = min(worst, bound - fail)
     n_pop, m, delta = 200, 50, 0.25
-    bound = sampling.epsilon_cl_bound(sampling.SamplingParams(n_pop, m, delta))
+    bound = _sampling_bound(n_pop, m, delta)
     margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
     return (worst >= 0.0 and margin >= 0.0, worst,
             "min (bound - exact failure probability) over N=16/20/24 instances; "

@@ -27,11 +27,7 @@ from qcka_cad.protosim import (
     postcad_error_rates,
     run_trial,
 )
-from qcka_cad.sampling import (
-    SamplingParams,
-    empirical_sampling_failure,
-    epsilon_cl_bound,
-)
+from qcka_cad.sampling import empirical_sampling_failure, sampling_failure_log
 from qcka_cad.verify import check_key_min_entropy, check_parity_exact, check_sieve_equivalence
 
 EPSILON = 1e-36
@@ -84,6 +80,10 @@ def test_criterion_3_min_entropy_bound():
     assert elapsed < 60.0
 
 
+def _sampling_bound(n_pop, m, delta):
+    return min(1.0, math.exp(sampling_failure_log(n_pop, m, delta)))
+
+
 def test_criterion_4_sampling_oracle():
     """Exact subset-sampling failure stays below the analytic bound."""
     start = time.perf_counter()
@@ -91,7 +91,7 @@ def test_criterion_4_sampling_oracle():
 
     exhaustive_margin = math.inf
     for n_pop, m in ((16, 4), (20, 5), (24, 6)):
-        bound = epsilon_cl_bound(SamplingParams(n_pop, m, 0.25))
+        bound = _sampling_bound(n_pop, m, 0.25)
         for q in (
             BitString("01" * (n_pop // 2)),
             BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
@@ -100,7 +100,7 @@ def test_criterion_4_sampling_oracle():
             exact = empirical_sampling_failure(q, m, 0.25)
             exhaustive_margin = min(exhaustive_margin, bound - exact)
 
-    bound200 = epsilon_cl_bound(SamplingParams(200, 50, 0.25))
+    bound200 = _sampling_bound(200, 50, 0.25)
     assert bound200 == pytest.approx(0.0907, abs=1e-4)
     n200_margin = math.inf
     for q in (BitString("01" * 100), BitString(rng.integers(0, 2, size=200, dtype=np.uint8))):

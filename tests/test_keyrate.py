@@ -1,13 +1,17 @@
 """Tests for the finite-key length engine and the test-size optimizer."""
 
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from qcka_cad.bitcore import binary_entropy
 from qcka_cad.keyrate import (
+    _cbrt,
     epsilon_constants,
+    geometric_grid,
     key_length,
     leak_ec,
     min_entropy_bound,
@@ -43,6 +47,85 @@ class TestEpsilonConstants:
             epsilon_constants(0.0)
         with pytest.raises(ValueError):
             epsilon_constants(1.0)
+
+
+def decimal_cbrt(x: float) -> float:
+    """exp(ln(x) / 3) to 50 digits, rounded once to the nearest float."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return float((Decimal(x).ln() / 3).exp())
+
+
+class TestCubeRoot:
+    def test_correctly_rounded_on_log_grid(self):
+        # 1,200 log-spaced epsilons in (1e-300, 1), plus the subnormal range.
+        xs = [10.0 ** (-300.0 * k / 1200) for k in range(1, 1200)]
+        xs += [5e-324, 1e-320, 2.2250738585072014e-308, 0.9999999999999999]
+        assert [_cbrt(x) for x in xs] == [decimal_cbrt(x) for x in xs]
+
+    def test_exact_cubes(self):
+        # k * 2**e cubes exactly for small odd k; x ** (1/3) misses most of these.
+        for k in (1, 3, 5, 7, 1023, 2**17 + 1):
+            for e in (-300, -60, -1, 0, 7):
+                assert _cbrt(math.ldexp(k**3, 3 * e)) == math.ldexp(k, e)
+        assert _cbrt(1e-36) == 1e-12
+
+    def test_matches_numpy_at_decades_and_bench_epsilons(self):
+        # Where np.cbrt is correctly rounded, reported epsilons do not move.
+        for x in [float(f"1e-{k}") for k in range(1, 37)] + [1e-10, 1e-36]:
+            assert _cbrt(x) == float(np.cbrt(x))
+
+
+def numpy_rounded_grid(m_max: int) -> list:
+    """numpy's 64-point test-size grid, rounded; clipping and de-duplicating it
+    to [1, m_max] gives the grid ``optimize_m`` searched with numpy."""
+    return np.round(np.geomspace(1, m_max, num=64)).tolist()
+
+
+def stdlib_rounded_grid(m_max: int) -> list:
+    return [round(v) for v in geometric_grid(1, m_max, 64)]
+
+
+class TestGeometricGrid:
+    def test_ends_and_single_point(self):
+        assert geometric_grid(3, 3, 1) == [3.0]
+        points = geometric_grid(10, 1000, 3)
+        assert points[0] == 10.0 and points[-1] == 1000.0
+        assert points[1] == pytest.approx(100.0, rel=1e-15)
+
+    def test_test_size_grid_matches_numpy(self):
+        m_max = 123_457
+        expected = np.unique(
+            np.clip(np.round(np.geomspace(1, m_max, num=64)).astype(int), 1, m_max)
+        ).tolist()
+        assert sorted({min(max(round(v), 1), m_max)
+                       for v in geometric_grid(1, m_max, 64)}) == expected
+
+    def test_every_small_test_size_grid_matches_numpy(self):
+        for m_max in range(1, 20_001):
+            assert stdlib_rounded_grid(m_max) == numpy_rounded_grid(m_max), m_max
+
+    def test_log_uniform_test_size_grids_match_numpy(self):
+        # Up to 2.5e11 test blocks: rate requests up to 1e12 signals.
+        rng = random.Random(6)
+        for _ in range(100_000):
+            m_max = round(math.exp(rng.uniform(0.0, math.log(2.5e11))))
+            assert stdlib_rounded_grid(m_max) == numpy_rounded_grid(m_max), m_max
+
+    def test_sweep_n_totals_match_numpy(self):
+        # sweep-n's rounding of the grid to even totals, over the
+        # benchmark's ranges: lo in [1e3, 1e7], hi up to lo * 1e5 and 1e12.
+        def totals(grid):
+            return sorted({max(2, 2 * int(round(v / 2))) for v in grid})
+
+        rng = random.Random(7)
+        for case in range(5_000):
+            lo = 2 * max(1, round(10 ** rng.uniform(3.0, 7.0) / 2))
+            hi = min(10**12, 2 * round(10 ** rng.uniform(math.log10(lo * 100),
+                                                         math.log10(lo * 1e5)) / 2))
+            points = rng.randint(1, 1000) if case % 25 == 0 else 16
+            assert totals(geometric_grid(lo, hi, points)) == totals(
+                np.geomspace(lo, hi, num=points)), (lo, hi, points)
 
 
 class TestMinEntropyBound:

@@ -8,11 +8,8 @@ import pytest
 
 from qcka_cad.bitcore import BitString
 from qcka_cad.sampling import (
-    SamplingParams,
     delta_from_epsilon,
     empirical_sampling_failure,
-    epsilon_cl_bound,
-    epsilon_cl_log_bound,
     sampling_failure_log,
 )
 
@@ -22,30 +19,39 @@ EPS0_200_50 = 0.09063523580417227
 DELTA_5E6 = 0.011540514389500697
 
 
+def sampling_bound(n_pop, m, delta):
+    """The sampling failure bound as a probability."""
+    return min(1.0, math.exp(sampling_failure_log(n_pop, m, delta)))
+
+
 class TestSamplingParams:
     def test_validation(self):
-        SamplingParams(200, 50, 0.25)
+        sampling_failure_log(200, 50, 0.25)
         with pytest.raises(ValueError, match="m < N/2"):
-            SamplingParams(200, 100, 0.25)
+            sampling_failure_log(200, 100, 0.25)
+        with pytest.raises(ValueError, match="positive"):
+            sampling_failure_log(200, 0, 0.25)
         with pytest.raises(ValueError, match="delta"):
-            SamplingParams(200, 50, 0.0)
-        with pytest.raises(ValueError, match="delta"):
-            SamplingParams(200, 50, 1.5)
+            sampling_failure_log(200, 50, 0.0)
+        # Deviations above 1 stay legal: the delta inverse returns them.
+        assert sampling_failure_log(200, 50, 1.5) < math.log(1e-40)
 
 
 class TestEpsilonClBound:
     def test_vacuous_deviation_clamps_to_one(self):
-        assert epsilon_cl_bound(SamplingParams(200, 50, 1e-9)) == 1.0
+        assert sampling_failure_log(200, 50, 1e-9) > 0.0
+        assert sampling_bound(200, 50, 1e-9) == 1.0
 
     def test_reference_point(self):
-        value = epsilon_cl_bound(SamplingParams(200, 50, 0.25))
+        value = sampling_bound(200, 50, 0.25)
         assert value == pytest.approx(EPS0_200_50, rel=1e-12)
         assert value == pytest.approx(0.0907, abs=1e-4)
 
     def test_log_and_linear_agree(self):
-        params = SamplingParams(1000, 100, 0.1)
-        assert math.exp(epsilon_cl_log_bound(params)) == pytest.approx(
-            epsilon_cl_bound(params), rel=1e-12
+        # 2 exp(-delta^2 m N / (N + 2)) evaluated directly.
+        linear = 2.0 * math.exp(-0.1 * 0.1 * 100 * 1000 / 1002)
+        assert math.exp(sampling_failure_log(1000, 100, 0.1)) == pytest.approx(
+            linear, rel=1e-12
         )
 
     def test_tiny_epsilon_consistency(self):
@@ -122,8 +128,7 @@ class TestEmpiricalSamplingFailure:
     def test_exhaustive_within_bound_small_instances(self):
         rng = np.random.default_rng(4)
         for n_pop, m in ((16, 4), (20, 5), (24, 6)):
-            params = SamplingParams(n_pop, m, 0.25)
-            bound = epsilon_cl_bound(params)
+            bound = sampling_bound(n_pop, m, 0.25)
             for q in (
                 BitString("01" * (n_pop // 2)),
                 BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
@@ -136,13 +141,13 @@ class TestEmpiricalSamplingFailure:
         q = BitString("01" * 100)
         exact = empirical_sampling_failure(q, 50, 0.25)
         assert exact == pytest.approx(0.0017477798285438092, rel=1e-12)
-        assert exact <= epsilon_cl_bound(SamplingParams(200, 50, 0.25))
+        assert exact <= sampling_bound(200, 50, 0.25)
 
     def test_exact_within_bound_at_n500(self):
         rng = np.random.default_rng(55)
         q = BitString(rng.integers(0, 2, size=500, dtype=np.uint8))
         exact = empirical_sampling_failure(q, 125, 0.2)
-        assert exact <= epsilon_cl_bound(SamplingParams(500, 125, 0.2))
+        assert exact <= sampling_bound(500, 125, 0.2)
 
     def test_matches_enumeration(self):
         # The battery's instances, plus a half-block word.
