@@ -8,17 +8,14 @@ Two sweeps are computed with the test size optimized at every point:
   * rate versus the total signal count for the asymmetric configuration,
     showing the finite threshold where the rate first turns positive.
 
-Tables are written as sweep_q.csv and sweep_n.csv to the directory
-given as the first argument, or to the current directory; any plotting
-tool can consume them.  The same tables are available from the command
-line via `qcka-cad sweep-q` and `qcka-cad sweep-n`.
-
-    python demos/02_noise_and_signal_sweeps.py [OUT_DIR]
+Tables are written as sweep_q.csv and sweep_n.csv to the current
+directory; any plotting tool can consume them.  The same tables are
+available from the command line via `qcka-cad sweep-q` and
+`qcka-cad sweep-n`.
 """
 
 import csv
 import pathlib
-import sys
 
 import numpy as np
 
@@ -66,9 +63,8 @@ def sweep_n(path):
 
 
 def main():
-    out_dir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else ".")
-    sweep_q(out_dir / "sweep_q.csv")
-    sweep_n(out_dir / "sweep_n.csv")
+    sweep_q(pathlib.Path("sweep_q.csv"))
+    sweep_n(pathlib.Path("sweep_n.csv"))
 
 
 if __name__ == "__main__":

@@ -74,6 +74,10 @@ verify = _lazy_submodule("verify")
 
 def __getattr__(name: str):
     if name not in _EXPORTS:
+        # A submodule not imported yet, as ``import qcka_cad; qcka_cad.keyrate``.
+        submodule = f"{__name__}.{name}"
+        if name.isidentifier() and not name.startswith("_") and importlib.util.find_spec(submodule):
+            return importlib.import_module(submodule)
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
     globals()[name] = value

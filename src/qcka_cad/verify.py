@@ -124,6 +124,7 @@ def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
 
 
 def _sampling_bound(n_pop: int, m: int, delta: float) -> float:
+    """The sampling failure bound as a probability."""
     return min(1.0, math.exp(sampling.sampling_failure_log(n_pop, m, delta)))
 
 

@@ -27,8 +27,13 @@ from qcka_cad.protosim import (
     postcad_error_rates,
     run_trial,
 )
-from qcka_cad.sampling import empirical_sampling_failure, sampling_failure_log
-from qcka_cad.verify import check_key_min_entropy, check_parity_exact, check_sieve_equivalence
+from qcka_cad.sampling import empirical_sampling_failure
+from qcka_cad.verify import (
+    _sampling_bound,
+    check_key_min_entropy,
+    check_parity_exact,
+    check_sieve_equivalence,
+)
 
 EPSILON = 1e-36
 SIGNALS = 10**7  # 2N used in the evaluation figures
@@ -78,10 +83,6 @@ def test_criterion_3_min_entropy_bound():
     assert result.status == "PASS"
     assert worst >= -1e-9
     assert elapsed < 60.0
-
-
-def _sampling_bound(n_pop, m, delta):
-    return min(1.0, math.exp(sampling_failure_log(n_pop, m, delta)))
 
 
 def test_criterion_4_sampling_oracle():

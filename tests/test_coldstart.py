@@ -101,6 +101,13 @@ class TestLazyModules:
         with pytest.raises(AttributeError):
             qcka_cad.no_such_name  # noqa: B018
 
+    def test_submodules_resolve_as_attributes(self):
+        result = loaded_after(
+            "import qcka_cad; result = qcka_cad.keyrate.optimize_m.__module__"
+        )
+        assert result["result"] == "qcka_cad.keyrate"
+        assert "numpy" not in result["modules"]
+
     def test_protosim_reexports_the_model(self):
         from qcka_cad import model, protosim
 

@@ -12,16 +12,12 @@ from qcka_cad.sampling import (
     empirical_sampling_failure,
     sampling_failure_log,
 )
+from qcka_cad.verify import _sampling_bound as sampling_bound
 
 # 2*exp(-0.25^2 * 50 * 200 / 202) to 50 digits, rounded to double.
 EPS0_200_50 = 0.09063523580417227
 # sqrt((N+2) ln(2/eps^2) / (m N)) at N=5e6, m=1.25e6, eps=1e-36.
 DELTA_5E6 = 0.011540514389500697
-
-
-def sampling_bound(n_pop, m, delta):
-    """The sampling failure bound as a probability."""
-    return min(1.0, math.exp(sampling_failure_log(n_pop, m, delta)))
 
 
 class TestSamplingParams:
