@@ -130,10 +130,11 @@ def _null_nan(value):
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    sys.stdout.write(text)
+    # Open the file first, so that a bad --out fails before stdout is written.
     if out_path:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,13 @@ the handful of quantum facts the key-rate analysis relies on:
   measurement.
 
 Everything is computed by exact marginalization of squared amplitudes,
-never by sampling, so the checks are deterministic.  States are dense
+never by sampling, so the checks are deterministic.  The sieve and
+min-entropy kernels take batches: they stack their inputs on a leading
+axis, consume them in chunks whose largest temporary stays within 512 KiB,
+and give each input the same bits as a batch of one, which is what the
+single-input functions are.  The sieve's packed-key map, its delayed-order
+CNOT circuit (one gather permutation) and the min-entropy head vectors
+are built once per layout, on first use.  States are dense
 complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
 (16 MiB per vector), checked before anything is allocated; within a GHZ
 block, qubit 1 belongs to the first party and qubits 2..p+1 to the
@@ -47,7 +53,9 @@ __all__ = [
     "hadamard_expansion_check",
     "cad_record_distribution",
     "cad_delayed_measurement_equivalence",
+    "cad_delayed_measurement_distances",
     "key_min_entropy_check",
+    "key_min_entropy_checks",
 ]
 
 DEFAULT_QUBIT_CAP = 20
@@ -216,6 +224,21 @@ def hadamard_expansion_check(
     return bool(np.allclose(transformed, expected, atol=atol, rtol=0.0))
 
 
+# The largest temporary a batched kernel builds for one chunk of inputs.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunk_size(nbytes: int) -> int:
+    """Inputs per chunk when each adds ``nbytes`` to the largest temporary."""
+    return max(1, _CHUNK_BYTES // nbytes)
+
+
+def _chunks(items: Iterable, size: int):
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
+
+
 # ---------------------------------------------------------------------------
 # Two-bit parity sieve, direct vs delayed measurement order
 # ---------------------------------------------------------------------------
@@ -227,6 +250,10 @@ def hadamard_expansion_check(
 # the same round-major order.  Block b (0-based, round-major) is thus
 # axis b on the Left, axis r(p+1) + b on the Right and axis 2r(p+1) + b
 # for its ancilla, and bit blocks-1-b of a packed Left or parity word.
+#
+# The key map and the delayed circuit depend only on the layout, so each
+# is built once per layout (a handful, bounded by the qubit cap) and kept
+# read-only.
 
 
 def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -237,50 +264,84 @@ def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
     return out
 
 
-def _sieve_table(blocks: int, state: StateVector, order: str) -> np.ndarray:
-    """Joint table ``P[Left bits, parity bits]`` of one measurement order."""
-    size = 1 << blocks
+@functools.lru_cache(maxsize=None)
+def _delayed_sources(blocks: int) -> np.ndarray:
+    """Where each amplitude of the delayed-order register comes from.
+
+    Entry i of the flat system-plus-ancilla register, after the parity
+    CNOTs, is system amplitude ``sources[i]`` with every ancilla in |0>;
+    the index ``2**(2 * blocks)`` stands for a zero amplitude.  A CNOT only
+    moves amplitudes, so running the circuit on indices gives the same
+    register as running it on amplitudes.
+    """
+    system = 2 * blocks
+    sources = np.full((1 << system, 1 << blocks), 1 << system, dtype=np.intp)
+    sources[:, 0] = np.arange(1 << system)
+    sources = sources.reshape((2,) * (system + blocks))
+    for b in range(blocks):
+        sources = _apply_cnot(sources, b, system + b)
+        sources = _apply_cnot(sources, blocks + b, system + b)
+    sources = sources.ravel()
+    sources.setflags(write=False)
+    return sources
+
+
+def _sieve_tables(blocks: int, amps: np.ndarray, order: str) -> np.ndarray:
+    """Joint tables ``P[state, Left bits, parity bits]`` of one measurement order."""
+    count, size = len(amps), 1 << blocks
     if order == "direct":
-        probs = np.abs(state.amplitudes.reshape(size, size)) ** 2
+        probs = np.abs(amps.reshape(count, size, size)) ** 2
         left = np.arange(size)[:, None]
         table = np.empty_like(probs)
-        table[left, left ^ np.arange(size)] = probs
+        table[:, left, left ^ np.arange(size)] = probs
         return table
     if order != "delayed":
         raise ValueError(f"unknown measurement order {order!r}")
     system = 2 * blocks
     _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
-    amps = np.zeros((1 << system, size), dtype=np.complex128)
-    amps[:, 0] = state.amplitudes
-    amps = amps.reshape((2,) * (system + blocks))
-    for b in range(blocks):
-        amps = _apply_cnot(amps, b, system + b)
-        amps = _apply_cnot(amps, blocks + b, system + b)
-    probs = np.abs(amps) ** 2
-    return probs.sum(axis=tuple(range(blocks, system))).reshape(size, size)
+    # The circuit only moves amplitudes, so moving the squared moduli gives
+    # the register's measurement distribution.
+    padded = np.zeros((count, (1 << system) + 1))
+    padded[:, :-1] = np.abs(amps) ** 2
+    probs = padded[:, _delayed_sources(blocks)]
+    # Sum out the Right qubits, the middle of the (Left, Right, ancilla) axes.
+    return probs.reshape(count, size, size, size).sum(axis=2)
 
 
-def _sieve_key_probs(p: int, rounds: int, state: StateVector, order: str) -> np.ndarray:
-    """Dense probability vector over packed (parities, masked kept bits) keys."""
-    parties = p + 1
-    blocks = rounds * parties
-    if state.qubit_count != 2 * blocks:
-        raise ValueError(
-            f"state has {state.qubit_count} qubits, sieve layout needs {2 * blocks}"
-        )
-    table = _sieve_table(blocks, state, order)
-
+@functools.lru_cache(maxsize=None)
+def _sieve_keys(p: int, rounds: int) -> np.ndarray:
+    """Packed (parities, masked kept bits) key of every table cell, flat."""
     # A round is accepted when every party reports the same parity as
     # party 0; kept bits outside accepted rounds are zeroed so that the
     # packed key identifies the record uniquely.
+    parties = p + 1
+    blocks = rounds * parties
     size = 1 << blocks
     words = np.arange(size)
     weights = 1 << np.arange(blocks - 1, -1, -1)
     by_round = ((words[:, None] & weights) != 0).reshape(size, rounds, parties)
     accepted = (by_round == by_round[:, :, :1]).all(axis=2)
     keep = np.repeat(accepted, parties, axis=1) @ weights
-    key = (words << blocks) | (words[:, None] & keep)
-    return np.bincount(key.ravel(), weights=table.ravel(), minlength=size * size)
+    keys = ((words << blocks) | (words[:, None] & keep)).ravel()
+    keys.setflags(write=False)
+    return keys
+
+
+def _sieve_key_probs(p: int, rounds: int, states, order: str) -> np.ndarray:
+    """Dense probability vectors over packed keys, one row per state."""
+    blocks = rounds * (p + 1)
+    for state in states:
+        if state.qubit_count != 2 * blocks:
+            raise ValueError(
+                f"state has {state.qubit_count} qubits, sieve layout needs {2 * blocks}"
+            )
+    table = _sieve_tables(blocks, np.stack([s.amplitudes for s in states]), order)
+    # Offsetting each state's keys keeps its bins apart and fills every bin
+    # in the same order as for the state alone.
+    cells = 1 << (2 * blocks)
+    keys = _sieve_keys(p, rounds) + cells * np.arange(len(states))[:, None]
+    dense = np.bincount(keys.ravel(), weights=table.ravel(), minlength=keys.size)
+    return dense.reshape(len(states), cells)
 
 
 def _decode_sieve_key(key: int, p: int, rounds: int) -> tuple:
@@ -311,7 +372,7 @@ def cad_record_distribution(
     both round-major with party 0 first; ``kept`` contains every party's
     Left-qubit outcome for accepted rounds only.
     """
-    dense = _sieve_key_probs(p, rounds, state, order)
+    dense = _sieve_key_probs(p, rounds, [state], order)[0]
     return {
         _decode_sieve_key(int(key), p, rounds): float(prob)
         for key, prob in enumerate(dense)
@@ -319,11 +380,96 @@ def cad_record_distribution(
     }
 
 
+def cad_delayed_measurement_distances(p: int, rounds: int, states: Iterable) -> np.ndarray:
+    """:func:`cad_delayed_measurement_equivalence` for each state, in input order.
+
+    ``states`` is consumed chunk by chunk.
+    """
+    blocks = rounds * (p + 1)
+    distances = [np.zeros(0)]
+    for chunk in _chunks(states, _chunk_size(8 << (3 * blocks))):
+        direct = _sieve_key_probs(p, rounds, chunk, "direct")
+        delayed = _sieve_key_probs(p, rounds, chunk, "delayed")
+        distances.append(0.5 * np.abs(direct - delayed).sum(axis=1))
+    return np.concatenate(distances)
+
+
 def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector) -> float:
     """Total variation distance between the direct and delayed sieve records."""
-    direct = _sieve_key_probs(p, rounds, state, "direct")
-    delayed = _sieve_key_probs(p, rounds, state, "delayed")
-    return 0.5 * float(np.abs(direct - delayed).sum())
+    return float(cad_delayed_measurement_distances(p, rounds, [state])[0])
+
+
+# ---------------------------------------------------------------------------
+# Min-entropy of a restricted GHZ superposition
+# ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _head_vectors(n: int) -> np.ndarray:
+    """Row y: the first qubits of n GHZ blocks with phase word y, summed
+    over correlation words; the last row is zero, to pad a parity set."""
+    # Summed over its correlation word, a GHZ block is
+    # (|0> + (-1)^y |1>) (x) sum_x |x> / sqrt(2): the phase bit lives on the
+    # first qubit alone and the trailing qubits are uniform.
+    heads = np.zeros((2**n + 1, 2**n))
+    for y, bits in enumerate(itertools.product((0, 1), repeat=n)):
+        heads[y] = functools.reduce(
+            np.kron, [np.array([1.0, (-1.0) ** b]) / math.sqrt(2.0) for b in bits]
+        )
+    heads.setflags(write=False)
+    return heads
+
+
+def _parity_set(n: int, parity_words: Iterable) -> list:
+    """A parity-word set as sorted, distinct word indices."""
+    words = sorted({str(w if isinstance(w, BitString) else BitString(w)) for w in parity_words})
+    if not words:
+        raise ValueError("empty parity-word set")
+    if any(len(w) != n for w in words):
+        raise ValueError(f"every parity word must have length {n}")
+    return [int(w, 2) for w in words]
+
+
+def _key_min_entropies(n: int, p: int, sets: list) -> list:
+    heads_of = _head_vectors(n)
+    none = len(heads_of) - 1
+    width = max(map(len, sets))
+    picks = np.array([s + [none] * (width - len(s)) for s in sets])
+    # Each set's heads are summed in sorted word order, from zero.
+    heads = np.zeros((len(sets), 2**n))
+    for column in picks.T:
+        heads += heads_of[column]
+
+    k = n * (p + 1)
+    block_axes = ((2,) + (1,) * p) * n
+    amps = np.broadcast_to(
+        heads.reshape((len(sets),) + block_axes), (len(sets),) + (2,) * k
+    ).astype(np.complex128, order="C")
+    # One norm per state: its BLAS dot sums in an order that a batched
+    # reduction does not reproduce.
+    norms = np.array([np.linalg.norm(a) for a in amps])
+    amps /= norms.reshape((-1,) + (1,) * k)
+    probs = np.abs(amps)
+    probs **= 2
+    kept_axes = {i * (p + 1) for i in range(n)}
+    traced = tuple(1 + ax for ax in range(k) if ax not in kept_axes)
+    peaks = probs.sum(axis=traced).reshape(len(sets), -1).max(axis=1)
+    return [(-math.log2(float(peak)), n - math.log2(len(s))) for peak, s in zip(peaks, sets)]
+
+
+def key_min_entropy_checks(n: int, p: int, word_sets: Iterable) -> list:
+    """:func:`key_min_entropy_check` for each parity-word set, in input order.
+
+    ``word_sets`` is consumed chunk by chunk.
+    """
+    if n < 1 or p < 1:
+        raise ValueError("need n >= 1 and p >= 1")
+    k = n * (p + 1)
+    _check_cap(k)
+    results = []
+    for chunk in _chunks(word_sets, _chunk_size(16 << k)):
+        results += _key_min_entropies(n, p, [_parity_set(n, words) for words in chunk])
+    return results
 
 
 def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
@@ -336,31 +482,4 @@ def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
     component is computed by exact marginalization; callers assert it is at
     least the second.
     """
-    if n < 1 or p < 1:
-        raise ValueError("need n >= 1 and p >= 1")
-    words = sorted({str(w if isinstance(w, BitString) else BitString(w)) for w in parity_words})
-    if not words:
-        raise ValueError("empty parity-word set")
-    if any(len(w) != n for w in words):
-        raise ValueError(f"every parity word must have length {n}")
-    k = n * (p + 1)
-    _check_cap(k)
-
-    # Summed over its correlation word, a GHZ block is
-    # (|0> + (-1)^y |1>) (x) sum_x |x> / sqrt(2): the phase bit lives on the
-    # first qubit alone and the trailing qubits are uniform.
-    heads = sum(
-        functools.reduce(np.kron, [np.array([1.0, (-1.0) ** int(b)]) / math.sqrt(2.0) for b in y])
-        for y in words
-    )
-    block_axes = ((2,) + (1,) * p) * n
-    amps = np.broadcast_to(heads.reshape(block_axes), (2,) * k).astype(np.complex128, order="C")
-    state = StateVector(amps / np.linalg.norm(amps))
-
-    probs = np.abs(state.amplitudes.reshape((2,) * k)) ** 2
-    kept_axes = {i * (p + 1) for i in range(n)}
-    traced = tuple(ax for ax in range(k) if ax not in kept_axes)
-    marginal = probs.sum(axis=traced)
-    hmin = -math.log2(float(marginal.max()))
-    bound = n - math.log2(len(words))
-    return hmin, bound
+    return key_min_entropy_checks(n, p, [parity_words])[0]

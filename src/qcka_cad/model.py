@@ -11,6 +11,7 @@ the reference party and party j+1.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -62,8 +63,9 @@ class ProtocolParams:
             raise ValueError("test size must be positive")
         if 2 * self.test_size >= self.half_signals:
             raise ValueError("test size must satisfy m < N/2")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        # Below the smallest normal float, 1/epsilon overflows in the key length.
+        if not sys.float_info.min <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must lie in [{sys.float_info.min!r}, 1)")
 
     @property
     def key_blocks(self) -> int:

@@ -281,6 +281,7 @@ def test_criterion_8_byte_identical_outputs(tmp_path, capsys):
         "simulate": ["simulate", "--p", "2", "--signals", "3e4", "--m", "5000",
                      "--q", "0.1", "--qz", "0.1,0.025", "--trials", "3", "--seed", "8"],
         "selftest": ["selftest", "--quick", "--seed", "8"],
+        "selftest-full": ["selftest", "--seed", "8"],
     }
     all_ok = True
     for name, argv in commands.items():

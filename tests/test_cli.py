@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
@@ -72,6 +73,32 @@ class TestUsageErrors:
     ])
     def test_unbounded_sizes_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--signals", "1e7", "--q", "0.05", "--qz", "0.05"),
+        ("sweep-q", "--signals", "1e7", "--q-max", "0.02"),
+        ("sweep-n", "--signals-min", "1e6", "--signals-max", "1e7", "--points", "3",
+         "--q", "0.05", "--qz", "0.05"),
+        ("simulate", "--signals", "1e6", "--q", "0.05", "--qz", "0.05"),
+    ])
+    def test_subnormal_epsilon_rejected(self, capsys, argv):
+        # 2 log2(1/epsilon) overflows below the smallest normal float.
+        for eps in ("1e-320", "5e-324", "1e-308"):
+            code, out, err = run_cli(capsys, *argv, "--epsilon", eps, "--format", "json")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err == "error: epsilon must lie in [2.2250738585072014e-308, 1)\n"
+        code, out, _ = run_cli(capsys, *argv, "--epsilon", repr(sys.float_info.min),
+                               "--format", "json")
+        assert code in (EXIT_OK, EXIT_ZERO_RATE)
+        assert "Infinity" not in out
+
+    def test_unwritable_out_writes_nothing(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "rate", "--signals", "1e6", "--q", "0.02", "--qz", "0.02",
+                                 "--out", str(tmp_path / "missing" / "x.csv"))
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -240,14 +267,18 @@ class TestSelftest:
         assert all(type(item["margin"]) is float for item in payload)
 
 
+    # The battery runs the batched kernels; each id names the single-state
+    # kernel that is their batch of one.
     @pytest.mark.parametrize("target, check", [
-        ("cad_delayed_measurement_equivalence", "sieve-equivalence"),
-        ("key_min_entropy_check", "key-min-entropy"),
+        pytest.param("cad_delayed_measurement_distances", "sieve-equivalence",
+                     id="cad_delayed_measurement_equivalence-sieve-equivalence"),
+        pytest.param("key_min_entropy_checks", "key-min-entropy",
+                     id="key_min_entropy_check-key-min-entropy"),
     ])
     def test_raising_check_fails_the_battery(self, capsys, monkeypatch, target, check):
         original = getattr(ghzsim, target)
 
-        def raise_on_two(first, *args):  # p == 2 or n == 2: one config only
+        def raise_on_two(first, *args):  # p == 2 or n == 2
             if first == 2:
                 raise ValueError("state not normalized")
             return original(first, *args)

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from qcka_cad import ghzsim
 from qcka_cad.ghzsim import (
     DEFAULT_QUBIT_CAP,
     StateVector,
+    cad_delayed_measurement_distances,
     cad_delayed_measurement_equivalence,
     cad_record_distribution,
     compose,
@@ -16,6 +18,7 @@ from qcka_cad.ghzsim import (
     hadamard_expansion_check,
     hadamard_transform,
     key_min_entropy_check,
+    key_min_entropy_checks,
     random_pure_state,
     x_basis_parity_distribution,
 )
@@ -266,6 +269,57 @@ class TestKeyMinEntropy:
             key_min_entropy_check(2, 1, ["0"])
         with pytest.raises(ValueError, match="cap"):
             key_min_entropy_check(7, 2, ["0000000"])
+
+
+class TestBatchedKernels:
+    """Batches, one chunk and one past a chunk, equal the batch of one bit for bit."""
+
+    @pytest.mark.parametrize("p, rounds", [(1, 1), (2, 1), (1, 2)])
+    def test_sieve_batches_match_batch_of_one(self, p, rounds):
+        blocks = rounds * (p + 1)
+        chunk = ghzsim._chunk_size(8 << (3 * blocks))  # the delayed register
+        rng = np.random.default_rng(100 * p + rounds)
+        states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
+        for order in ("direct", "delayed"):
+            single = [ghzsim._sieve_key_probs(p, rounds, [s], order)[0] for s in states]
+            for count in (1, chunk, chunk + 1):
+                batch = ghzsim._sieve_key_probs(p, rounds, states[:count], order)
+                assert batch.shape == (count, 1 << (2 * blocks))
+                assert all(np.array_equal(b, s) for b, s in zip(batch, single))
+        single = [cad_delayed_measurement_equivalence(p, rounds, s) for s in states]
+        for count in (1, chunk, chunk + 1):
+            batch = cad_delayed_measurement_distances(p, rounds, iter(states[:count]))
+            assert batch.tolist() == single[:count]
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
+    def test_min_entropy_batches_match_batch_of_one(self, n, p):
+        chunk = ghzsim._chunk_size(16 << (n * (p + 1)))  # the superposition
+        rng = np.random.default_rng(10 * n + p)
+        everything = [format(w, f"0{n}b") for w in range(2**n)]
+        sets = [everything, everything[:1] * 3, everything[::-1] + everything[:2]]
+        while len(sets) < chunk + 1:  # random sets, duplicates included
+            picks = rng.integers(0, 2**n, size=int(rng.integers(1, 2**n + 3)))
+            sets.append([everything[w] for w in picks])
+        single = [key_min_entropy_check(n, p, words) for words in sets]
+        for count in (1, chunk, chunk + 1):
+            assert key_min_entropy_checks(n, p, iter(sets[:count])) == single[:count]
+
+    def test_empty_batches(self):
+        assert cad_delayed_measurement_distances(1, 1, []).shape == (0,)
+        assert key_min_entropy_checks(2, 1, []) == []
+
+    def test_cached_tables_are_read_only(self):
+        for table in (ghzsim._sieve_keys(1, 2), ghzsim._delayed_sources(4),
+                      ghzsim._head_vectors(3)):
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+    def test_chunks_stay_within_the_byte_budget(self):
+        for qubits in range(1, 21):
+            nbytes = 16 << qubits
+            size = ghzsim._chunk_size(nbytes)
+            assert size >= 1 and (size == 1 or size * nbytes <= ghzsim._CHUNK_BYTES)
+        assert ghzsim._chunk_size(8 << 12) == 16  # the (1, 2) sieve's delayed register
 
 
 class TestRandomPureState:
