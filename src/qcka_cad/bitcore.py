@@ -1,8 +1,7 @@
 """Binary words and the binary entropy function.
 
-Words are fixed-length sequences of bits with 1-based positions, matching
-the convention used throughout the protocol analysis: position 1 is the
-first bit.  All values are immutable after construction and safe to share
+Words are fixed-length sequences of bits, iterated and printed first bit
+first.  All values are immutable after construction and safe to share
 between threads.
 """
 
@@ -18,7 +17,7 @@ _TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class BitString:
-    """An immutable word of bits with 1-based indexing.
+    """An immutable word of bits.
 
     Accepts a string of ``'0'``/``'1'`` characters or an iterable of 0/1
     values (integers, booleans or a numpy array).  Empty words are
@@ -63,17 +62,6 @@ class BitString:
 
     def __repr__(self) -> str:
         return f"BitString({str(self)!r})"
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if len(self) != len(other):
-            raise ValueError("length mismatch in XOR")
-        return BitString(a ^ b for a, b in zip(self._bits, other._bits))
-
-    def bit(self, i: int) -> int:
-        """Return the bit at 1-based position ``i``."""
-        if not 1 <= i <= len(self):
-            raise IndexError(f"position {i} out of range [1, {len(self)}]")
-        return self._bits[i - 1]
 
     @property
     def weight(self) -> int:

@@ -15,7 +15,9 @@ invocations.  CSV output is RFC-4180-style with an LF line ending and
 floats printed to 12 significant digits; ``--format json`` emits the
 same fields as JSON.
 A ``--config FILE`` of flat ``key = value`` lines overrides flags and
-may supply required ones.
+may supply required ones.  A key is any flag name of the command without
+its dashes, ``-`` and ``_`` alike; the flag's own parser action converts
+and checks the value, and a switch such as ``quick`` takes a boolean.
 """
 
 from __future__ import annotations
@@ -41,30 +43,6 @@ EXIT_USAGE = 1
 EXIT_ZERO_RATE = 2
 EXIT_SELFTEST = 3
 
-REPORT_FIELDS = [
-    "p",
-    "signals",
-    "half_signals",
-    "m",
-    "n",
-    "epsilon",
-    "q",
-    "qz",
-    "error_formula",
-    "delta",
-    "qx",
-    "pa",
-    "n_a",
-    "hmin",
-    "leak_ec",
-    "ell",
-    "rate",
-    "epsilon_prime",
-    "epsilon_fail",
-    "epsilon_pa",
-    "flags",
-]
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -78,31 +56,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Report column -> the KeyRateReport attribute it prints, or its conversion.
+_REPORT_COLUMNS = {
+    "p": "bobs", "signals": lambda r: 2 * r.half_signals, "half_signals": "half_signals",
+    "m": "test_size", "n": "key_blocks", "epsilon": "epsilon",
+    "q": "x_error", "qz": lambda r: list(r.z_errors), "error_formula": "error_formula",
+    "delta": "delta", "qx": "qx", "pa": "pa", "n_a": "accepted", "hmin": "hmin",
+    "leak_ec": "leak_ec", "ell": "ell", "rate": "rate",
+    "epsilon_prime": "epsilon_prime", "epsilon_fail": "epsilon_fail", "epsilon_pa": "epsilon_pa",
+    "flags": lambda r: ";".join(r.flags),
+}
+REPORT_FIELDS = list(_REPORT_COLUMNS)
+
+
 def report_record(report: KeyRateReport) -> dict:
     """A key-rate report as an ordered field -> value mapping."""
-    return {
-        "p": report.bobs,
-        "signals": 2 * report.half_signals,
-        "half_signals": report.half_signals,
-        "m": report.test_size,
-        "n": report.key_blocks,
-        "epsilon": report.epsilon,
-        "q": report.x_error,
-        "qz": list(report.z_errors),
-        "error_formula": report.error_formula,
-        "delta": report.delta,
-        "qx": report.qx,
-        "pa": report.pa,
-        "n_a": report.accepted,
-        "hmin": report.hmin,
-        "leak_ec": report.leak_ec,
-        "ell": report.ell,
-        "rate": report.rate,
-        "epsilon_prime": report.epsilon_prime,
-        "epsilon_fail": report.epsilon_fail,
-        "epsilon_pa": report.epsilon_pa,
-        "flags": ";".join(report.flags),
-    }
+    return {col: getattr(report, get) if isinstance(get, str) else get(report)
+            for col, get in _REPORT_COLUMNS.items()}
 
 
 def _csv_text(fields, records) -> str:
@@ -184,6 +154,13 @@ def _parse_int(text: str) -> int:
     return int(value)
 
 
+def _parse_seed(text: str) -> int:
+    seed = _parse_int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text}")
+    return seed
+
+
 def _parse_bool(text: str) -> bool:
     value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
@@ -193,39 +170,14 @@ def _parse_bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text}")
 
 
-def _choice(choices: tuple):
-    def convert(text: str) -> str:
-        if text not in choices:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice {text!r} (choose from {', '.join(choices)})")
-        return text
-    return convert
-
-
-_CONFIG_CONVERTERS = {
-    "bobs": _parse_int,
-    "signals": _parse_signals,
-    "signals_min": _parse_signals,
-    "signals_max": _parse_signals,
-    "points": _parse_int,
-    "q": float,
-    "q_min": float,
-    "q_max": float,
-    "q_step": float,
-    "qz": str,
-    "qz_factors": str,
-    "epsilon": float,
-    "m": _parse_int,
-    "seed": _parse_int,
-    "trials": _parse_int,
-    "error_formula": _choice(ERROR_FORMULAS),
-    "format": _choice(FORMATS),
-    "out": str,
-    "quick": _parse_bool,
-}
-
-
-def _apply_config(args: argparse.Namespace, path: str) -> None:
+def _apply_config(command: argparse.ArgumentParser, args: argparse.Namespace, path: str) -> None:
+    # A key is any option string of the command without its dashes, with
+    # '-' and '_' interchangeable; the command's own action converts the value.
+    options = {}
+    for action in command._actions:
+        if action.dest not in ("help", "config"):
+            for option in action.option_strings:
+                options.setdefault(option.lstrip("-").replace("_", "-"), (option, action))
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -234,12 +186,15 @@ def _apply_config(args: argparse.Namespace, path: str) -> None:
             if "=" not in line:
                 raise _CliError(f"{path}:{lineno}: expected 'key = value'")
             key, value = (part.strip() for part in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in _CONFIG_CONVERTERS or not hasattr(args, dest):
+            if key.replace("_", "-") not in options:
                 raise _CliError(f"{path}:{lineno}: unknown option {key!r}")
+            option, action = options[key.replace("_", "-")]
             try:
-                setattr(args, dest, _CONFIG_CONVERTERS[dest](value))
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+                if action.nargs == 0:  # a store-true switch such as --quick
+                    setattr(args, action.dest, _parse_bool(value))
+                else:  # "--option=value", so that a value starting with '-' is not a flag
+                    command.parse_args([f"{option}={value}"], namespace=args)
+            except (_CliError, argparse.ArgumentTypeError) as exc:
                 raise _CliError(f"{path}:{lineno}: {exc}") from exc
 
 
@@ -256,7 +211,7 @@ def _parse_qz(text: str, bobs: int, flag: str = "--qz") -> tuple:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_parse_int, default=0, help="reproducibility seed")
+    sub.add_argument("--seed", type=_parse_seed, default=0, help="reproducibility seed")
     sub.add_argument("--out", default=None, help="also write the output to this file")
     sub.add_argument("--format", choices=FORMATS, default="csv")
     sub.add_argument("--config", default=None, help="flat key=value file overriding flags")
@@ -268,8 +223,7 @@ def _add_protocol(sub: argparse.ArgumentParser, *, with_q: bool = True) -> None:
     sub.add_argument("--epsilon", type=float, default=1e-36, help="security parameter")
     sub.add_argument("--m", type=_parse_int, default=None,
                      help="test size (default: optimized)")
-    sub.add_argument("--error-formula", choices=ERROR_FORMULAS,
-                     default="conservative", dest="error_formula",
+    sub.add_argument("--error-formula", choices=ERROR_FORMULAS, default="conservative",
                      help="post-sieve error rate used inside leak_EC")
     if with_q:
         sub.add_argument("--q", type=float, help="X-basis flip rate per half")
@@ -286,7 +240,7 @@ def build_parser() -> _Parser:
                       help="total signal count 2N (e.g. 1e7)")
     _add_protocol(rate)
     _add_common(rate)
-    rate.set_defaults(func=cmd_rate)
+    rate.set_defaults(func=cmd_rate, parser=rate)
 
     sweep_q = subs.add_parser("sweep-q", help="rate vs X-error at fixed signals")
     sweep_q.add_argument("--signals", type=_parse_signals)
@@ -296,10 +250,10 @@ def build_parser() -> _Parser:
     _add_protocol(sweep_q, with_q=False)
     sweep_q.add_argument("--qz", default=None,
                          help="fixed Z flip rates (otherwise scaled from Q)")
-    sweep_q.add_argument("--qz-factors", default="1", dest="qz_factors",
+    sweep_q.add_argument("--qz-factors", default="1",
                          help="per-party multipliers applied to Q (comma list)")
     _add_common(sweep_q)
-    sweep_q.set_defaults(func=cmd_sweep_q)
+    sweep_q.set_defaults(func=cmd_sweep_q, parser=sweep_q)
 
     sweep_n = subs.add_parser("sweep-n", help="rate vs total signals at fixed noise")
     sweep_n.add_argument("--signals-min", type=_parse_signals)
@@ -308,20 +262,20 @@ def build_parser() -> _Parser:
                          help="geometric grid size")
     _add_protocol(sweep_n)
     _add_common(sweep_n)
-    sweep_n.set_defaults(func=cmd_sweep_n)
+    sweep_n.set_defaults(func=cmd_sweep_n, parser=sweep_n)
 
     simulate = subs.add_parser("simulate", help="Monte Carlo protocol trials")
     simulate.add_argument("--signals", type=_parse_signals)
     simulate.add_argument("--trials", type=_parse_int, default=1)
     _add_protocol(simulate)
     _add_common(simulate)
-    simulate.set_defaults(func=cmd_simulate)
+    simulate.set_defaults(func=cmd_simulate, parser=simulate)
 
     selftest = subs.add_parser("selftest", help="verification battery")
     selftest.add_argument("--quick", action="store_true",
                           help="reduced battery sizes for a fast pass")
     _add_common(selftest)
-    selftest.set_defaults(func=cmd_selftest)
+    selftest.set_defaults(func=cmd_selftest, parser=selftest)
 
     return parser
 
@@ -398,11 +352,8 @@ def cmd_simulate(args) -> int:
         raise _CliError(f"trials x p must be at most {MAX_TRIAL_PARTIES}")
     noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
     half = args.signals // 2
-    if args.m is None:
-        m, _ = optimize_m(args.bobs, half, args.epsilon, noise,
-                          error_formula=args.error_formula)
-    else:
-        m = args.m
+    m = args.m if args.m is not None else optimize_m(
+        args.bobs, half, args.epsilon, noise, error_formula=args.error_formula)[0]
     params = ProtocolParams(args.bobs, half, m, args.epsilon, seed=args.seed)
     outcomes = [protosim.run_trial(params, noise, trial_index=i) for i in range(args.trials)]
 
@@ -495,14 +446,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args, args.config)
+        if args.config:
+            _apply_config(args.parser, args, args.config)
         _check_args(args)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (_CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

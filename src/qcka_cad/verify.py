@@ -6,7 +6,8 @@ randomised check takes a fresh ``np.random.SeedSequence`` and draws one
 Philox stream per configuration from ``seeds.spawn(len(configs))``; it
 draws its inputs one at a time and hands them to a batched ``ghzsim``
 kernel, which evaluates them in stacked chunks.
-A check that raises surfaces as :class:`CheckError`, never as a pass.
+A check that raises surfaces as :class:`CheckError`, never as a pass, and
+a NaN among the values a check folds makes it FAIL with a NaN margin.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ def _check(name: str):
     return decorate
 
 
+def _fold(fold, worst: float, values) -> float:
+    """``fold`` (max or min) of worst and values, NaN if any of them is NaN.
+
+    Python's max and min skip a NaN, which would let a NaN result pass;
+    ties keep the first value, as the plain fold does.
+    """
+    values = [worst, *values]
+    return math.nan if any(math.isnan(v) for v in values) else fold(values)
+
+
 def _ghz_labels(p: int) -> list:
     """(bits, y) of every p-party GHZ basis state."""
     return [(bits, y) for bits in itertools.product((0, 1), repeat=p) for y in (0, 1)]
@@ -73,7 +84,7 @@ def check_parity_exact():
     for p in (1, 2, 3):
         for bits, y in _ghz_labels(p):
             dist = ghzsim.x_basis_parity_distribution(ghzsim.ghz_state(p, bits, y))
-            worst = max(worst, abs(dist[y] - 1.0), dist[1 - y])
+            worst = _fold(max, worst, [abs(dist[y] - 1.0), dist[1 - y]])
     return (worst <= 1e-12, worst,
             "max deviation of the announced parity from the phase bit")
 
@@ -86,7 +97,7 @@ def check_orthonormality():
                  for bits, y in _ghz_labels(p)]
         for (b1, y1, a1), (b2, y2, a2) in itertools.product(basis, repeat=2):
             expect = 1.0 if (b1 == b2 and y1 == y2) else 0.0
-            worst = max(worst, abs(abs(np.vdot(a1, a2)) - expect))
+            worst = _fold(max, worst, [abs(abs(np.vdot(a1, a2)) - expect)])
     return (worst <= 1e-10, worst,
             "max deviation of pairwise inner products from identity")
 
@@ -104,7 +115,7 @@ def check_sieve_equivalence(seeds: np.random.SeedSequence, trials: int):
     worst = 0.0
     for (p, rounds), rng in zip(configs, _streams(seeds, len(configs))):
         states = (ghzsim.random_pure_state(2 * rounds * (p + 1), rng) for _ in range(trials))
-        worst = max([worst, *ghzsim.cad_delayed_measurement_distances(p, rounds, states)])
+        worst = _fold(max, worst, ghzsim.cad_delayed_measurement_distances(p, rounds, states))
     return (worst <= 1e-9, worst,
             f"max TV distance over {trials} random states per config")
 
@@ -123,14 +134,14 @@ def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
     for (n, p), rng in zip(configs, _streams(seeds, len(configs))):
         word_sets = (_parity_words(n, rng) for _ in range(trials))
         results = ghzsim.key_min_entropy_checks(n, p, word_sets)
-        worst = min([worst] + [hmin - bound for hmin, bound in results])
+        worst = _fold(min, worst, [hmin - bound for hmin, bound in results])
     return (worst >= -1e-9, worst,
             f"min (hmin - bound) over {trials} random parity sets per config")
 
 
 def _sampling_bound(n_pop: int, m: int, delta: float) -> float:
-    """The sampling failure bound as a probability."""
-    return min(1.0, math.exp(sampling.sampling_failure_log(n_pop, m, delta)))
+    """The sampling failure bound as a probability (NaN stays NaN)."""
+    return min(math.exp(sampling.sampling_failure_log(n_pop, m, delta)), 1.0)
 
 
 @_check("sampling-exhaustive")
@@ -146,7 +157,7 @@ def check_sampling_exhaustive(seeds: np.random.SeedSequence):
             bound = _sampling_bound(n_pop, m, delta)
             for q in words:
                 fail = sampling.empirical_sampling_failure(q, m, delta)
-                worst = min(worst, bound - fail)
+                worst = _fold(min, worst, [bound - fail])
     n_pop, m, delta = 200, 50, 0.25
     bound = _sampling_bound(n_pop, m, delta)
     margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
@@ -164,7 +175,7 @@ def check_sampling_roundtrip():
                 delta = sampling.delta_from_epsilon(n_pop, m, eps)
                 log_bound = sampling.sampling_failure_log(n_pop, m, delta)
                 target = 2.0 * math.log(eps)
-                worst = max(worst, abs(log_bound - target) / abs(target))
+                worst = _fold(max, worst, [abs(log_bound - target) / abs(target)])
     return worst <= 1e-12, worst, "max relative log-space error of the delta inverse"
 
 

@@ -1,13 +1,17 @@
 """Tests for the command-line front end: schemas, exit codes, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
+import math
 import sys
+import types
 
+import numpy as np
 import pytest
 
-from qcka_cad import ghzsim
+from qcka_cad import cli, ghzsim, sampling, verify
 from qcka_cad.cli import EXIT_OK, EXIT_SELFTEST, EXIT_USAGE, EXIT_ZERO_RATE, REPORT_FIELDS, main, simulate_fields
 from qcka_cad.protosim import NoiseModel, ProtocolParams, run_trial
 
@@ -102,6 +106,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "--signals", "1e6", "--q", "0.02", "--qz", "0.02"),
+        ("sweep-q", "--signals", "1e6", "--q-max", "0.02"),
+        ("sweep-n", "--signals-min", "1e5", "--signals-max", "1e6", "--q", "0.02", "--qz", "0.02"),
+        ("simulate", "--signals", "1e4", "--m", "100", "--q", "0.02", "--qz", "0.02"),
+        ("selftest", "--quick"),
+    ])
+    def test_negative_seed_rejected(self, capsys, tmp_path, argv):
+        message = "argument --seed: seed must be a non-negative integer, got -1\n"
+        code, out, err = run_cli(capsys, *argv, "--seed", "-1")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: " + message)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {cfg}:1: " + message)
 
     def test_qz_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -289,6 +309,38 @@ class TestSelftest:
         assert out == ""
         assert err == f"error: check {check} raised ValueError: state not normalized\n"
 
+    @pytest.mark.parametrize("target, nan_kernel, check", [
+        ("cad_delayed_measurement_distances",
+         lambda p, rounds, states: [math.nan for _ in states], "sieve-equivalence"),
+        ("key_min_entropy_checks",
+         lambda n, p, word_sets: [(math.nan, 0.0) for _ in word_sets], "key-min-entropy"),
+    ], ids=["sieve-equivalence", "key-min-entropy"])
+    def test_nan_kernel_fails_the_battery(self, capsys, monkeypatch, target, nan_kernel, check):
+        # Python's max and min skip a NaN: max(0.0, nan) is 0.0.
+        monkeypatch.setattr(ghzsim, target, nan_kernel)
+        code, out, err = run_cli(capsys, "selftest", "--quick")
+        assert code == EXIT_SELFTEST
+        assert err == ""
+        failed = [line for line in out.splitlines() if not line.startswith("PASS")]
+        assert len(failed) == 1 and failed[0].startswith(f"FAIL {check} margin=nan  (")
+
+    @pytest.mark.parametrize("module, target, nan_kernel, run_check", [
+        (ghzsim, "x_basis_parity_distribution", lambda state: {0: math.nan, 1: math.nan},
+         lambda: verify.check_parity_exact()),
+        (ghzsim, "ghz_state",
+         lambda p, bits, y: types.SimpleNamespace(amplitudes=np.full(2 ** (p + 1), np.nan)),
+         lambda: verify.check_orthonormality()),
+        (sampling, "empirical_sampling_failure", lambda q, m, delta: math.nan,
+         lambda: verify.check_sampling_exhaustive(np.random.SeedSequence(0))),
+        (sampling, "sampling_failure_log", lambda n_pop, m, delta: math.nan,
+         lambda: verify.check_sampling_roundtrip()),
+    ], ids=["parity", "orthonormality", "sampling-exhaustive", "sampling-roundtrip"])
+    def test_nan_value_fails_its_check(self, monkeypatch, module, target, nan_kernel, run_check):
+        monkeypatch.setattr(module, target, nan_kernel)
+        result = run_check()
+        assert result.status == "FAIL"
+        assert math.isnan(result.margin)
+
 
 class TestReproducibility:
     def test_simulate_byte_identical(self, capsys, tmp_path):
@@ -365,6 +417,25 @@ class TestConfigFile:
         assert out == ""
         assert err == "error: the following arguments are required: --qz\n"
 
+    @pytest.mark.parametrize("argv, line, message", [
+        (RATE_ARGV, "format = xml",
+         "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')"),
+        (RATE_ARGV, "m = 1.5", "argument --m: expected an integer, got 1.5"),
+        (RATE_ARGV, "q = -0.5 0.1", "argument --q: invalid float value: '-0.5 0.1'"),
+        (RATE_ARGV, "signals = 101", "argument --signals: signals must be even (two-round blocks)"),
+        (RATE_ARGV, "help = 1", "unknown option 'help'"),
+        (RATE_ARGV, "config = other.cfg", "unknown option 'config'"),
+        (RATE_ARGV, "quick = true", "unknown option 'quick'"),
+        (("selftest",), "p = 2", "unknown option 'p'"),
+        (("selftest",), "quick = maybe", "expected a boolean, got maybe"),
+        (RATE_ARGV, "q 0.1", "expected 'key = value'"),
+    ])
+    def test_error_wording(self, capsys, tmp_path, argv, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {cfg}:1: {message}\n")
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("nonsense = 1\n")
@@ -374,3 +445,61 @@ class TestConfigFile:
         )
         assert code == EXIT_USAGE
         assert "nonsense" in err
+
+
+# A value for every option that differs from its default and from the
+# values the required flags get below; keyed by argparse dest.
+CONFIG_SAMPLES = {
+    "signals": "2e6", "signals_min": "2e4", "signals_max": "4e6", "points": "5",
+    "q": "0.03", "q_min": "0.01", "q_max": "0.12", "q_step": "0.02",
+    "qz": "0.04", "qz_factors": "1,0.5", "bobs": "2", "epsilon": "1e-12", "m": "1000",
+    "error_formula": "independent", "seed": "7", "trials": "3", "format": "json",
+    "out": "report.csv",
+}
+REQUIRED_VALUES = {"--signals": "1e6", "--q": "0.1", "--qz": "0.1", "--q-max": "0.1",
+                   "--signals-min": "1e4", "--signals-max": "1e6"}
+
+
+def _config_cases():
+    """(command, flag argv, argv before --config, config line) per option spelling."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in subs.choices.items():
+        for action in sub._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help", "--config"):
+                    continue
+                name = option.lstrip("-")
+                if action.nargs == 0:  # a switch
+                    yield pytest.param(command, [option], [], f"{name} = true",
+                                       id=f"{command}:{option}:true")
+                    yield pytest.param(command, [], [option], f"{name} = false",
+                                       id=f"{command}:{option}:false")
+                    continue
+                value = CONFIG_SAMPLES[action.dest]
+                for key in sorted({name, name.replace("-", "_")}):
+                    yield pytest.param(command, [option, value], [], f"{key} = {value}",
+                                       id=f"{command}:{option}:{key}")
+
+
+class TestConfigMatchesFlags:
+    """A config line leaves the namespace exactly as the flag it names does."""
+
+    @pytest.mark.parametrize("command, flag_argv, config_argv, line", _config_cases())
+    def test_config_line_equals_flag(self, monkeypatch, tmp_path, command, flag_argv,
+                                     config_argv, line):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                            lambda args: seen.append(vars(args)) or EXIT_OK)
+        base = [command]
+        for flag in cli.REQUIRED_FLAGS.get(command, ()):
+            base += [flag, REQUIRED_VALUES[flag]]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(base) == EXIT_OK
+        assert main(base + flag_argv) == EXIT_OK
+        assert main(base + config_argv + ["--config", str(cfg)]) == EXIT_OK
+        default, by_flag, by_config = (
+            {k: v for k, v in ns.items() if k not in ("config", "parser")} for ns in seen)
+        assert by_config == by_flag
+        assert by_flag != default or line.endswith("false")
