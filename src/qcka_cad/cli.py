@@ -137,21 +137,41 @@ REQUIRED_FLAGS = {
 }
 
 
+def _parse_int(text: str) -> int:
+    """The integer a flag value denotes, exactly.
+
+    A value is spelled as ``float`` reads it, infinities and NaN aside, and
+    must denote an integer: ``12``, ``1e6`` and ``2.5e3`` do, ``1.5`` does
+    not.  It is parsed from its digits, so no value is rounded.
+    """
+    try:
+        if math.isfinite(float(text)):
+            mantissa, _, exponent = text.strip().lower().replace("_", "").partition("e")
+            whole, _, fraction = mantissa.partition(".")
+            digits, scale = int(whole + fraction), int(exponent or 0) - len(fraction)
+            # A finite value with nonzero digits has scale <= 308; a negative
+            # scale beyond the digit count leaves a fraction.
+            if digits == 0:
+                return 0
+            if scale >= 0:
+                return digits * 10**scale
+            if -scale <= len(whole + fraction) and digits % 10**-scale == 0:
+                return digits // 10**-scale
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text}")
+
+
 def _parse_signals(text: str) -> int:
-    total = float(text)
-    if not (math.isfinite(total) and total > 0 and total == int(total)):
+    try:
+        total = _parse_int(text)
+    except argparse.ArgumentTypeError:
+        total = 0
+    if total <= 0:
         raise argparse.ArgumentTypeError(f"signals must be a positive integer, got {text}")
-    total = int(total)
     if total % 2:
         raise argparse.ArgumentTypeError("signals must be even (two-round blocks)")
     return total
-
-
-def _parse_int(text: str) -> int:
-    value = float(text)
-    if not (math.isfinite(value) and value == int(value)):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text}")
-    return int(value)
 
 
 def _parse_seed(text: str) -> int:

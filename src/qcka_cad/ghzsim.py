@@ -16,13 +16,17 @@ the handful of quantum facts the key-rate analysis relies on:
   measurement.
 
 Everything is computed by exact marginalization of squared amplitudes,
-never by sampling, so the checks are deterministic.  The sieve and
-min-entropy kernels take batches: they stack their inputs on a leading
-axis, consume them in chunks whose largest temporary stays within 512 KiB,
-and give each input the same bits as a batch of one, which is what the
-single-input functions are.  The sieve's packed-key map, its delayed-order
-CNOT circuit (one gather permutation) and the min-entropy head vectors
-are built once per layout, on first use.  States are dense
+never by sampling, so the checks are deterministic.  Every kernel takes a
+batch: states as the rows of a 2-D amplitude array (or a sequence of
+:class:`StateVector`), checked as the constructor checks one state, or
+parity sets as word indices.  Each input gets the same bits as a batch of
+one, which is what the single-input functions are.  ``ghz_states`` builds
+a stacked family of GHZ basis states and ``random_pure_states`` draws
+random states in blocks, one generator call per block.  The sieve and
+min-entropy kernels consume their inputs in chunks whose largest
+temporary stays within 512 KiB.  The sieve's packed-key map, its
+delayed-order CNOT circuit (one gather permutation) and the min-entropy
+head vectors are built once per layout, on first use.  States are dense
 complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
 (16 MiB per vector), checked before anything is allocated; within a GHZ
 block, qubit 1 belongs to the first party and qubits 2..p+1 to the
@@ -46,11 +50,15 @@ __all__ = [
     "DEFAULT_QUBIT_CAP",
     "StateVector",
     "ghz_state",
+    "ghz_states",
     "compose",
     "random_pure_state",
+    "random_pure_states",
     "hadamard_transform",
     "x_basis_parity_distribution",
+    "x_basis_parity_distributions",
     "hadamard_expansion_check",
+    "hadamard_expansion_checks",
     "cad_record_distribution",
     "cad_delayed_measurement_equivalence",
     "cad_delayed_measurement_distances",
@@ -68,6 +76,23 @@ def _check_cap(k: int, what: str | None = None) -> None:
         raise ValueError(f"{what or f'{k} qubits'} exceeds the qubit cap of {DEFAULT_QUBIT_CAP}")
 
 
+def _qubits(size: int) -> int:
+    """The qubit count of ``size`` amplitudes, within the cap."""
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"amplitude count {size} is not a power of two >= 2")
+    k = size.bit_length() - 1
+    _check_cap(k)
+    return k
+
+
+def _check_norms(norm_sq) -> None:
+    """Raise unless every squared norm is 1 within ``_NORM_ATOL``."""
+    norm_sq = np.atleast_1d(norm_sq)
+    off = norm_sq[np.abs(norm_sq - 1.0) > _NORM_ATOL]
+    if off.size:
+        raise ValueError(f"state not normalized: |amps|^2 = {float(off[0])!r}")
+
+
 class StateVector:
     """Dense, normalized pure state over ``qubit_count`` qubits.
 
@@ -80,14 +105,9 @@ class StateVector:
 
     def __init__(self, amplitudes):
         arr = np.asarray(amplitudes)
-        if arr.size < 2 or arr.size & (arr.size - 1):
-            raise ValueError(f"amplitude count {arr.size} is not a power of two >= 2")
-        k = arr.size.bit_length() - 1
-        _check_cap(k)
+        k = _qubits(arr.size)
         arr = arr.astype(np.complex128).ravel()
-        norm_sq = float(np.vdot(arr, arr).real)
-        if abs(norm_sq - 1.0) > _NORM_ATOL:
-            raise ValueError(f"state not normalized: |amps|^2 = {norm_sq!r}")
+        _check_norms(np.vdot(arr, arr).real)
         arr.setflags(write=False)
         self._amps = arr
         self._k = k
@@ -108,6 +128,23 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(qubits={self._k})"
+
+
+def _stacked(states) -> np.ndarray:
+    """A batch of states as the rows of a complex array.
+
+    ``states`` is a sequence of :class:`StateVector` or a 2-D array of
+    amplitude rows; each row of an array is checked as the constructor
+    checks one state.
+    """
+    if not isinstance(states, np.ndarray):
+        return np.stack([s.amplitudes for s in states])
+    if states.ndim != 2:
+        raise ValueError(f"expected a 2-D array of amplitude rows, got {states.ndim} dimensions")
+    _qubits(states.shape[1])
+    amps = states.astype(np.complex128, copy=False)
+    _check_norms(np.einsum("ij,ij->i", amps.conj(), amps).real)
+    return amps
 
 
 def _as_bit_array(x: "BitString | str | Iterable[int]", length: int | None = None) -> np.ndarray:
@@ -133,6 +170,35 @@ def _bits_to_index(bits: np.ndarray) -> int:
     return value
 
 
+def _checked_labels(p: int, words, ys) -> tuple:
+    """GHZ labels as index arrays: correlation-word indices and phase bits."""
+    if p < 1:
+        raise ValueError("need at least one trailing qubit (p >= 1)")
+    _check_cap(p + 1)
+    words, ys = np.asarray(words, dtype=np.intp), np.asarray(ys)
+    if words.ndim != 1 or words.shape != ys.shape:
+        raise ValueError("need one phase bit per correlation word")
+    if np.any((ys != 0) & (ys != 1)):
+        raise ValueError("y must be a bit")
+    if np.any((words < 0) | (words >= 1 << p)):
+        raise ValueError(f"correlation-word indices must lie in [0, 2**{p})")
+    return words, ys.astype(np.intp)
+
+
+def ghz_states(p: int, words, ys) -> np.ndarray:
+    """Amplitudes of (p+1)-qubit GHZ basis states, one row per label.
+
+    Row i is :func:`ghz_state` for the correlation word whose index (its
+    first bit most significant) is ``words[i]`` and the phase bit ``ys[i]``.
+    """
+    words, ys = _checked_labels(p, words, ys)
+    rows, half = np.arange(words.size), 1.0 / math.sqrt(2.0)
+    amps = np.zeros((words.size, 2 << p), dtype=np.complex128)
+    amps[rows, words] = half
+    amps[rows, (1 << p) | (words ^ ((1 << p) - 1))] = np.where(ys == 1, -half, half)
+    return amps
+
+
 def ghz_state(p: int, x, y: int) -> StateVector:
     """The (p+1)-qubit GHZ basis state (|0,x> + (-1)^y |1,~x>)/sqrt(2).
 
@@ -141,14 +207,7 @@ def ghz_state(p: int, x, y: int) -> StateVector:
     """
     if p < 1:
         raise ValueError("need at least one trailing qubit (p >= 1)")
-    if y not in (0, 1):
-        raise ValueError("y must be a bit")
-    _check_cap(p + 1)
-    bits = _as_bit_array(x, p)
-    amps = np.zeros(1 << (p + 1), dtype=np.complex128)
-    amps[_bits_to_index(bits)] = 1.0 / math.sqrt(2.0)
-    amps[(1 << p) | _bits_to_index(bits ^ 1)] = (-1.0) ** y / math.sqrt(2.0)
-    return StateVector(amps)
+    return StateVector(ghz_states(p, [_bits_to_index(_as_bit_array(x, p))], [y])[0])
 
 
 def compose(*states: StateVector) -> StateVector:
@@ -161,25 +220,66 @@ def compose(*states: StateVector) -> StateVector:
     return out
 
 
-def random_pure_state(qubit_count: int, rng: np.random.Generator) -> StateVector:
-    """Haar-like random pure state from normalized complex Gaussians."""
+def _random_block(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """``count`` normalized complex Gaussian vectors of length ``dim``, as rows."""
+    draws = rng.standard_normal((count, 2, dim))
+    vecs = draws[:, 0] + 1j * draws[:, 1]
+    # One norm per state: its BLAS dot sums in an order that a batched
+    # reduction does not reproduce.
+    vecs /= np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    return vecs
+
+
+def random_pure_states(qubit_count: int, count: int, rng: np.random.Generator):
+    """``count`` Haar-like random pure states, drawn lazily in blocks.
+
+    Returns an iterator of ``(rows, 2**qubit_count)`` amplitude arrays,
+    one ``standard_normal`` call each, whose rows together are ``count``
+    states; each row has the bits that the matching one of ``count``
+    calls to :func:`random_pure_state` on the same stream gives.
+    """
     if qubit_count < 1:
         raise ValueError("need at least one qubit")
     _check_cap(qubit_count)
-    dim = 1 << qubit_count
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(vec / np.linalg.norm(vec))
+    # A block's draws, the draws times 1j and its rows: 48 << k bytes per state.
+    size = _chunk_size(48 << qubit_count)
+    return (_random_block(rng, min(size, count - start), 1 << qubit_count)
+            for start in range(0, count, size))
+
+
+def random_pure_state(qubit_count: int, rng: np.random.Generator) -> StateVector:
+    """Haar-like random pure state from normalized complex Gaussians."""
+    (block,) = random_pure_states(qubit_count, 1, rng)
+    return StateVector(block[0])
+
+
+def _hadamard(amps: np.ndarray) -> np.ndarray:
+    """Each row of ``amps`` with a Hadamard applied to every qubit."""
+    count, size = amps.shape
+    k = size.bit_length() - 1
+    a = amps.reshape((count,) + (2,) * k)
+    for axis in range(1, k + 1):
+        plus = a.take(0, axis=axis) + a.take(1, axis=axis)
+        minus = a.take(0, axis=axis) - a.take(1, axis=axis)
+        a = np.stack((plus, minus), axis=axis)
+    return a.reshape(count, size) / math.sqrt(2.0) ** k
 
 
 def hadamard_transform(state: StateVector) -> StateVector:
     """Apply a Hadamard to every qubit (exact basis change)."""
-    k = state.qubit_count
-    a = state.amplitudes.reshape((2,) * k)
-    for axis in range(k):
-        plus = a.take(0, axis=axis) + a.take(1, axis=axis)
-        minus = a.take(0, axis=axis) - a.take(1, axis=axis)
-        a = np.stack((plus, minus), axis=axis)
-    return StateVector(a.reshape(-1) / math.sqrt(2.0) ** k)
+    return StateVector(_hadamard(state.amplitudes[None])[0])
+
+
+def x_basis_parity_distributions(states) -> np.ndarray:
+    """:func:`x_basis_parity_distribution` of each state, as rows (P(0), P(1))."""
+    probs = np.abs(_hadamard(_stacked(states))) ** 2
+    # Fold one qubit at a time: even/odd hold the mass whose folded qubits
+    # have even/odd parity, indexed by the qubits not yet folded.
+    even, odd = np.split(probs, 2, axis=1)
+    while even.shape[1] > 1:
+        (e0, e1), (o0, o1) = np.split(even, 2, axis=1), np.split(odd, 2, axis=1)
+        even, odd = e0 + o1, o0 + e1
+    return np.concatenate((even, odd), axis=1)
 
 
 def x_basis_parity_distribution(state: StateVector) -> dict:
@@ -187,14 +287,29 @@ def x_basis_parity_distribution(state: StateVector) -> dict:
 
     Returns ``{0: prob, 1: prob}`` computed by exact marginalization.
     """
-    probs = np.abs(hadamard_transform(state).amplitudes) ** 2
-    # Fold one qubit at a time: even/odd hold the mass whose folded qubits
-    # have even/odd parity, indexed by the qubits not yet folded.
-    even, odd = probs.reshape(2, -1)
-    while even.size > 1:
-        (e0, e1), (o0, o1) = even.reshape(2, -1), odd.reshape(2, -1)
-        even, odd = e0 + o1, o0 + e1
-    return {0: float(even[0]), 1: float(odd[0])}
+    even, odd = x_basis_parity_distributions([state])[0]
+    return {0: float(even), 1: float(odd)}
+
+
+def hadamard_expansion_checks(
+    p: int, words, ys, states=None, *, atol: float = 1e-10
+) -> np.ndarray:
+    """:func:`hadamard_expansion_check` of each label, as a bool array.
+
+    Label i is the correlation-word index ``words[i]`` (its first bit most
+    significant) and the phase bit ``ys[i]``; ``states`` (default: the GHZ
+    states of the labels) holds one state per label.
+    """
+    words, ys = _checked_labels(p, words, ys)
+    amps = ghz_states(p, words, ys) if states is None else _stacked(states)
+    if amps.shape != (words.size, 2 << p):
+        raise ValueError("state size does not match p")
+    c = np.arange(1 << p)
+    parity = np.array([bin(w).count("1") & 1 for w in range(1 << p)])
+    signs = np.where(parity[words[:, None] & c], -1.0, 1.0) * 2.0 ** (-p / 2.0)
+    expected = np.zeros_like(amps)
+    expected[np.arange(words.size)[:, None], ((ys[:, None] ^ parity) << p) | c] = signs
+    return np.isclose(_hadamard(amps), expected, atol=atol, rtol=0.0).all(axis=1)
 
 
 def hadamard_expansion_check(
@@ -208,20 +323,9 @@ def hadamard_expansion_check(
     XOR the parity of the trailing bits, and carries sign (-1)^{c.x}
     where c ranges over the trailing bits.
     """
-    bits = _as_bit_array(x, p)
-    if state is None:
-        state = ghz_state(p, bits, y)
-    if state.qubit_count != p + 1:
-        raise ValueError("state size does not match p")
-    transformed = hadamard_transform(state).amplitudes
-    expected = np.zeros_like(transformed)
-    scale = 2.0 ** (-p / 2.0)
-    for c in itertools.product((0, 1), repeat=p):
-        c_arr = np.asarray(c, dtype=np.uint8)
-        c0 = y ^ (int(c_arr.sum()) & 1)
-        sign = (-1.0) ** (int(np.dot(c_arr, bits)) & 1)
-        expected[(c0 << p) | _bits_to_index(c_arr)] = sign * scale
-    return bool(np.allclose(transformed, expected, atol=atol, rtol=0.0))
+    word = _bits_to_index(_as_bit_array(x, p))
+    states = None if state is None else [state]
+    return bool(hadamard_expansion_checks(p, [word], [y], states, atol=atol)[0])
 
 
 # The largest temporary a batched kernel builds for one chunk of inputs.
@@ -234,6 +338,10 @@ def _chunk_size(nbytes: int) -> int:
 
 
 def _chunks(items: Iterable, size: int):
+    """``items`` in lists of ``size``; an array in slices of ``size`` rows."""
+    if isinstance(items, np.ndarray):
+        yield from (items[start:start + size] for start in range(0, len(items), size))
+        return
     items = iter(items)
     while chunk := list(itertools.islice(items, size)):
         yield chunk
@@ -330,18 +438,18 @@ def _sieve_keys(p: int, rounds: int) -> np.ndarray:
 def _sieve_key_probs(p: int, rounds: int, states, order: str) -> np.ndarray:
     """Dense probability vectors over packed keys, one row per state."""
     blocks = rounds * (p + 1)
-    for state in states:
-        if state.qubit_count != 2 * blocks:
-            raise ValueError(
-                f"state has {state.qubit_count} qubits, sieve layout needs {2 * blocks}"
-            )
-    table = _sieve_tables(blocks, np.stack([s.amplitudes for s in states]), order)
+    amps = _stacked(states)
+    cells = 1 << (2 * blocks)
+    if amps.shape[1] != cells:
+        raise ValueError(
+            f"state has {_qubits(amps.shape[1])} qubits, sieve layout needs {2 * blocks}"
+        )
+    table = _sieve_tables(blocks, amps, order)
     # Offsetting each state's keys keeps its bins apart and fills every bin
     # in the same order as for the state alone.
-    cells = 1 << (2 * blocks)
-    keys = _sieve_keys(p, rounds) + cells * np.arange(len(states))[:, None]
+    keys = _sieve_keys(p, rounds) + cells * np.arange(len(amps))[:, None]
     dense = np.bincount(keys.ravel(), weights=table.ravel(), minlength=keys.size)
-    return dense.reshape(len(states), cells)
+    return dense.reshape(len(amps), cells)
 
 
 def _decode_sieve_key(key: int, p: int, rounds: int) -> tuple:
@@ -383,7 +491,8 @@ def cad_record_distribution(
 def cad_delayed_measurement_distances(p: int, rounds: int, states: Iterable) -> np.ndarray:
     """:func:`cad_delayed_measurement_equivalence` for each state, in input order.
 
-    ``states`` is consumed chunk by chunk.
+    ``states``, StateVectors or a 2-D array of amplitude rows, is consumed
+    chunk by chunk.
     """
     blocks = rounds * (p + 1)
     distances = [np.zeros(0)]
@@ -421,13 +530,25 @@ def _head_vectors(n: int) -> np.ndarray:
 
 
 def _parity_set(n: int, parity_words: Iterable) -> list:
-    """A parity-word set as sorted, distinct word indices."""
-    words = sorted({str(w if isinstance(w, BitString) else BitString(w)) for w in parity_words})
-    if not words:
+    """A parity-word set as sorted, distinct word indices.
+
+    A word is its index, first bit most significant, or its n bits as a
+    string, a BitString or an iterable of 0/1 values.
+    """
+    indices = set()
+    for w in parity_words:
+        if isinstance(w, (int, np.integer)):
+            if not 0 <= w < 1 << n:
+                raise ValueError(f"parity-word index {w} is not in [0, 2**{n})")
+            indices.add(int(w))
+        else:
+            bits = w if isinstance(w, BitString) else BitString(w)
+            if len(bits) != n:
+                raise ValueError(f"every parity word must have length {n}")
+            indices.add(int(str(bits), 2))
+    if not indices:
         raise ValueError("empty parity-word set")
-    if any(len(w) != n for w in words):
-        raise ValueError(f"every parity word must have length {n}")
-    return [int(w, 2) for w in words]
+    return sorted(indices)
 
 
 def _key_min_entropies(n: int, p: int, sets: list) -> list:
@@ -476,10 +597,10 @@ def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
     """Min-entropy of first-qubit outcomes for a restricted GHZ superposition.
 
     Builds the uniform superposition of n-block GHZ products whose per-block
-    phase bits range over ``parity_words`` (a set of n-bit words) and whose
-    correlation words range over everything, measures the first qubit of
-    each block in Z, and returns ``(hmin, n - log2(set size))``.  The first
-    component is computed by exact marginalization; callers assert it is at
-    least the second.
+    phase bits range over ``parity_words`` (n-bit words or their indices)
+    and whose correlation words range over everything, measures the first
+    qubit of each block in Z, and returns ``(hmin, n - log2(set size))``.
+    The first component is computed by exact marginalization; callers
+    assert it is at least the second.
     """
     return key_min_entropy_checks(n, p, [parity_words])[0]

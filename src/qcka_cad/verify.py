@@ -3,9 +3,11 @@
 ``qcka-cad selftest`` runs it through :func:`selftest_checks`; the
 acceptance suite calls the same checks with its own pinned seeds.  A
 randomised check takes a fresh ``np.random.SeedSequence`` and draws one
-Philox stream per configuration from ``seeds.spawn(len(configs))``; it
-draws its inputs one at a time and hands them to a batched ``ghzsim``
-kernel, which evaluates them in stacked chunks.
+Philox stream per configuration from ``seeds.spawn(len(configs))``.
+Every check hands a batched ``ghzsim`` kernel stacked inputs built in
+bulk: random states drawn a block per generator call, parity sets as
+sorted word indices, and for each p the whole family of 2^(p+1) GHZ
+basis states as one array.
 A check that raises surfaces as :class:`CheckError`, never as a pass, and
 a NaN among the values a check folds makes it FAIL with a NaN margin.
 """
@@ -13,7 +15,6 @@ a NaN among the values a check folds makes it FAIL with a NaN margin.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,9 +70,11 @@ def _fold(fold, worst: float, values) -> float:
     return math.nan if any(math.isnan(v) for v in values) else fold(values)
 
 
-def _ghz_labels(p: int) -> list:
-    """(bits, y) of every p-party GHZ basis state."""
-    return [(bits, y) for bits in itertools.product((0, 1), repeat=p) for y in (0, 1)]
+def _ghz_labels(p: int) -> tuple:
+    """Correlation-word indices and phase bits of every p-party GHZ basis
+    state, word-major."""
+    labels = np.arange(2 << p)
+    return labels >> 1, labels & 1
 
 
 def _streams(seeds: np.random.SeedSequence, count: int) -> list:
@@ -82,9 +85,10 @@ def _streams(seeds: np.random.SeedSequence, count: int) -> list:
 def check_parity_exact():
     worst = 0.0
     for p in (1, 2, 3):
-        for bits, y in _ghz_labels(p):
-            dist = ghzsim.x_basis_parity_distribution(ghzsim.ghz_state(p, bits, y))
-            worst = _fold(max, worst, [abs(dist[y] - 1.0), dist[1 - y]])
+        words, ys = _ghz_labels(p)
+        dist = ghzsim.x_basis_parity_distributions(ghzsim.ghz_states(p, words, ys))
+        rows = np.arange(len(ys))
+        worst = _fold(max, worst, [*np.abs(dist[rows, ys] - 1.0), *dist[rows, 1 - ys]])
     return (worst <= 1e-12, worst,
             "max deviation of the announced parity from the phase bit")
 
@@ -93,19 +97,17 @@ def check_parity_exact():
 def check_orthonormality():
     worst = 0.0
     for p in (1, 2, 3):
-        basis = [(bits, y, ghzsim.ghz_state(p, bits, y).amplitudes)
-                 for bits, y in _ghz_labels(p)]
-        for (b1, y1, a1), (b2, y2, a2) in itertools.product(basis, repeat=2):
-            expect = 1.0 if (b1 == b2 and y1 == y2) else 0.0
-            worst = _fold(max, worst, [abs(abs(np.vdot(a1, a2)) - expect)])
+        basis = ghzsim.ghz_states(p, *_ghz_labels(p))
+        gram = basis.conj() @ basis.T
+        worst = _fold(max, worst, np.abs(np.abs(gram) - np.eye(len(basis))).ravel())
     return (worst <= 1e-10, worst,
             "max deviation of pairwise inner products from identity")
 
 
 @_check("hadamard-expansion")
 def check_expansion():
-    bad = sum(not ghzsim.hadamard_expansion_check(p, bits, y)
-              for p in (1, 2, 3) for bits, y in _ghz_labels(p))
+    bad = sum(int(np.count_nonzero(~ghzsim.hadamard_expansion_checks(p, *_ghz_labels(p))))
+              for p in (1, 2, 3))
     return bad == 0, bad, "GHZ states failing the all-Hadamard expansion identity"
 
 
@@ -114,17 +116,16 @@ def check_sieve_equivalence(seeds: np.random.SeedSequence, trials: int):
     configs = ((1, 1), (2, 1), (1, 2))  # (p, rounds)
     worst = 0.0
     for (p, rounds), rng in zip(configs, _streams(seeds, len(configs))):
-        states = (ghzsim.random_pure_state(2 * rounds * (p + 1), rng) for _ in range(trials))
-        worst = _fold(max, worst, ghzsim.cad_delayed_measurement_distances(p, rounds, states))
+        for states in ghzsim.random_pure_states(2 * rounds * (p + 1), trials, rng):
+            worst = _fold(max, worst, ghzsim.cad_delayed_measurement_distances(p, rounds, states))
     return (worst <= 1e-9, worst,
             f"max TV distance over {trials} random states per config")
 
 
 def _parity_words(n: int, rng: np.random.Generator) -> list:
-    """A random non-empty set of n-bit words, sorted."""
+    """A random non-empty set of n-bit words, as sorted word indices."""
     size = int(rng.integers(1, 2**n + 1))
-    picks = rng.choice(2**n, size=size, replace=False)
-    return [format(int(w), f"0{n}b") for w in sorted(picks)]
+    return sorted(rng.choice(2**n, size=size, replace=False).tolist())
 
 
 @_check("key-min-entropy")

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -122,6 +121,58 @@ class TestUsageErrors:
         cfg.write_text("seed = -1\n")
         code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
         assert (code, out, err) == (EXIT_USAGE, "", f"error: {cfg}:1: " + message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("rate", "--signals", "1e6", "--q", "0.1", "--qz", "0.1", "--p", "two"),
+         "argument --bobs/--p/-p: expected an integer, got two"),
+        (("rate", "--signals", "1e6", "--q", "0.1", "--qz", "0.1", "--m", "1e3x"),
+         "argument --m: expected an integer, got 1e3x"),
+        (("rate", "--signals", "x", "--q", "0.1", "--qz", "0.1"),
+         "argument --signals: signals must be a positive integer, got x"),
+        (("sweep-n", "--signals-min", "1e4", "--signals-max", "1e6", "--points", "nan",
+          "--q", "0", "--qz", "0"), "argument --points: expected an integer, got nan"),
+        (("selftest", "--seed", "1.5"), "argument --seed: expected an integer, got 1.5"),
+    ], ids=["p", "m", "signals", "points", "seed"])
+    def test_non_number_wording(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_odd_count_past_float_precision_rejected(self, capsys):
+        # 2**53 + 1 is odd; a float parse would round it to the even 2**53.
+        code, out, err = run_cli(capsys, "rate", "--signals", "9007199254740993",
+                                 "--q", "0.01", "--qz", "0.01")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: argument --signals: signals must be even (two-round blocks)\n"
+        code, out, _ = run_cli(capsys, "rate", "--signals", "9007199254740994",
+                               "--q", "0.01", "--qz", "0.01", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["signals"] == 2**53 + 2
+
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12), ("+7", 7), ("-0", 0), ("1e6", 10**6), ("1E13", 10**13), ("2.5e3", 2500),
+        (".2e7", 2 * 10**6), ("1.", 1), ("1_000", 1000), (" 8 ", 8), ("0e999999999", 0),
+        ("120e-1", 12), ("1e30", 10**30), ("99999999999999999999999999999", 10**29 - 1),
+    ])
+    def test_integer_values_are_exact(self, text, value):
+        assert cli._parse_int(text) == value
+        assert type(cli._parse_int(text)) is int
+
+    @pytest.mark.parametrize("text", [
+        "1.5", "1e-1", "1e-999999999", "125e-2", "1e400", "inf", "-inf", "nan", "", "e5",
+        "1e", "0x10", "1__0", "two",
+    ])
+    def test_non_integers_rejected(self, text):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected an integer"):
+            cli._parse_int(text)
+
+    def test_exponent_seed_is_exact(self, capsys):
+        outputs = {}
+        for seed in ("1e30", "1000000000000000000000000000000",
+                     str(int(float("1e30")))):  # the seed a float parse would run
+            code, outputs[seed], _ = run_cli(capsys, "selftest", "--quick", "--seed", seed,
+                                             "--format", "json")
+            assert code == EXIT_OK
+        first, second, rounded = outputs.values()
+        assert first == second != rounded
 
     def test_qz_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -324,11 +375,13 @@ class TestSelftest:
         failed = [line for line in out.splitlines() if not line.startswith("PASS")]
         assert len(failed) == 1 and failed[0].startswith(f"FAIL {check} margin=nan  (")
 
+    # The GHZ checks run the batched kernels on stacked GHZ families.
     @pytest.mark.parametrize("module, target, nan_kernel, run_check", [
-        (ghzsim, "x_basis_parity_distribution", lambda state: {0: math.nan, 1: math.nan},
+        (ghzsim, "x_basis_parity_distributions",
+         lambda states: np.full((len(states), 2), np.nan),
          lambda: verify.check_parity_exact()),
-        (ghzsim, "ghz_state",
-         lambda p, bits, y: types.SimpleNamespace(amplitudes=np.full(2 ** (p + 1), np.nan)),
+        (ghzsim, "ghz_states",
+         lambda p, words, ys: np.full((len(words), 2 ** (p + 1)), np.nan),
          lambda: verify.check_orthonormality()),
         (sampling, "empirical_sampling_failure", lambda q, m, delta: math.nan,
          lambda: verify.check_sampling_exhaustive(np.random.SeedSequence(0))),
@@ -429,6 +482,10 @@ class TestConfigFile:
         (("selftest",), "p = 2", "unknown option 'p'"),
         (("selftest",), "quick = maybe", "expected a boolean, got maybe"),
         (RATE_ARGV, "q 0.1", "expected 'key = value'"),
+        (RATE_ARGV, "p = two", "argument --bobs/--p/-p: expected an integer, got two"),
+        (RATE_ARGV, "signals = x", "argument --signals: signals must be a positive integer, got x"),
+        (RATE_ARGV, "signals = 9007199254740993",
+         "argument --signals: signals must be even (two-round blocks)"),
     ])
     def test_error_wording(self, capsys, tmp_path, argv, line, message):
         cfg = tmp_path / "bad.cfg"

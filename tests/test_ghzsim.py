@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from qcka_cad import ghzsim
+from qcka_cad import ghzsim, verify
+from qcka_cad.bitcore import BitString
 from qcka_cad.ghzsim import (
     DEFAULT_QUBIT_CAP,
     StateVector,
@@ -328,3 +329,236 @@ class TestRandomPureState:
         b = random_pure_state(5, np.random.default_rng(9))
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert abs(np.vdot(a.amplitudes, a.amplitudes).real - 1.0) < 1e-12
+
+
+def _reference_draw(qubit_count, rng):
+    """One random state as drawn one at a time: two Gaussian vectors, one norm."""
+    dim = 1 << qubit_count
+    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return vec / np.linalg.norm(vec)
+
+
+def _reference_hadamard(amps):
+    """The all-qubit Hadamard of one amplitude vector, one axis at a time."""
+    k = amps.size.bit_length() - 1
+    a = amps.reshape((2,) * k)
+    for axis in range(k):
+        plus = a.take(0, axis=axis) + a.take(1, axis=axis)
+        minus = a.take(0, axis=axis) - a.take(1, axis=axis)
+        a = np.stack((plus, minus), axis=axis)
+    return a.reshape(-1) / math.sqrt(2.0) ** k
+
+
+def _reference_expansion(p, bits, y):
+    """The expected all-Hadamard expansion of one GHZ label, outcome by outcome."""
+    expected = np.zeros(2 << p, dtype=np.complex128)
+    for c in itertools.product((0, 1), repeat=p):
+        c0 = y ^ (sum(c) & 1)
+        sign = (-1.0) ** (sum(a & b for a, b in zip(c, bits)) & 1)
+        expected[(c0 << p) | int("".join(map(str, c)), 2)] = sign * 2.0 ** (-p / 2.0)
+    return expected
+
+
+def _labels(p):
+    return [(bits, y) for bits in itertools.product((0, 1), repeat=p) for y in (0, 1)]
+
+
+class TestBulkInputs:
+    """Stacked inputs built in bulk equal inputs built one at a time, bit for bit."""
+
+    @pytest.mark.parametrize("qubits", [4, 6, 8])  # the battery's three sieve layouts
+    def test_chunked_draws_match_one_at_a_time(self, qubits):
+        chunk = ghzsim._chunk_size(48 << qubits)
+        for count in (1, chunk, chunk + 1):
+            blocks = list(ghzsim.random_pure_states(qubits, count, np.random.default_rng(count)))
+            assert [len(b) for b in blocks] == ([chunk, 1] if count > chunk else [count])
+            drawn = np.concatenate(blocks)
+            rng = np.random.default_rng(count)
+            reference = np.stack([_reference_draw(qubits, rng) for _ in range(count)])
+            assert drawn.shape == (count, 1 << qubits)
+            assert np.array_equal(drawn, reference)
+            rng = np.random.default_rng(count)
+            singles = [random_pure_state(qubits, rng).amplitudes for _ in range(count)]
+            assert np.array_equal(drawn, np.stack(singles))
+
+    def test_draw_arguments_checked(self):
+        rng = np.random.default_rng(0)
+        assert list(ghzsim.random_pure_states(3, 0, rng)) == []
+        with pytest.raises(ValueError, match="at least one qubit"):
+            ghzsim.random_pure_states(0, 1, rng)
+        with pytest.raises(ValueError, match="cap"):
+            ghzsim.random_pure_states(21, 1, rng)
+
+    def test_array_input_checked_as_state_vector(self):
+        (good,) = ghzsim.random_pure_states(4, 3, np.random.default_rng(1))
+        states = [StateVector(row) for row in good]
+        assert np.array_equal(cad_delayed_measurement_distances(1, 1, good),
+                              cad_delayed_measurement_distances(1, 1, states))
+        assert np.array_equal(ghzsim.x_basis_parity_distributions(good),
+                              ghzsim.x_basis_parity_distributions(states))
+        bad = good.copy()
+        bad[2] *= 1.001
+        for kernel in (lambda a: cad_delayed_measurement_distances(1, 1, a),
+                       ghzsim.x_basis_parity_distributions):
+            with pytest.raises(ValueError, match="not normalized"):
+                kernel(bad)
+            with pytest.raises(ValueError, match="power of two"):
+                kernel(np.ones((2, 12)) / math.sqrt(12))
+            with pytest.raises(ValueError, match="2-D"):
+                kernel(good[0])
+        with pytest.raises(ValueError, match="cap"):
+            ghzsim.x_basis_parity_distributions(np.broadcast_to(0.0, (1, 1 << 21)))
+        with pytest.raises(ValueError, match="6 qubits, sieve layout needs 4"):
+            cad_delayed_measurement_distances(1, 1, np.ones((2, 64)) / 8.0)
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
+    def test_index_parity_sets_match_word_sets(self, n, p):
+        rng = np.random.default_rng(7 * n + p)
+        for _ in range(20):
+            picks = [int(w) for w in rng.integers(0, 2**n, size=int(rng.integers(1, 2**n + 3)))]
+            words = [format(w, f"0{n}b") for w in picks]
+            expect = key_min_entropy_check(n, p, words)
+            assert key_min_entropy_check(n, p, picks) == expect
+            assert key_min_entropy_check(n, p, np.array(picks)) == expect
+            assert key_min_entropy_check(n, p, [BitString(w) for w in words]) == expect
+            assert key_min_entropy_check(n, p, sorted(set(picks))) == expect
+
+    def test_index_parity_sets_checked(self):
+        with pytest.raises(ValueError, match="index 4"):
+            key_min_entropy_check(2, 1, [0, 4])
+        with pytest.raises(ValueError, match="index -1"):
+            key_min_entropy_check(2, 1, [-1])
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_ghz_family_matches_single_states(self, p):
+        labels = _labels(p)
+        words = [int("".join(map(str, bits)), 2) for bits, _ in labels]
+        ys = [y for _, y in labels]
+        family = ghzsim.ghz_states(p, words, ys)
+        for row, (bits, y) in zip(family, labels):
+            assert np.array_equal(row, ghz_state(p, bits, y).amplitudes)
+            expect = np.zeros(2 << p)
+            index = int("".join(map(str, bits)), 2)
+            expect[index] = 1.0 / math.sqrt(2.0)
+            expect[(1 << p) | (index ^ ((1 << p) - 1))] = (-1.0) ** y / math.sqrt(2.0)
+            assert np.array_equal(row, expect)
+        with pytest.raises(ValueError, match="bit"):
+            ghzsim.ghz_states(p, [0], [2])
+        with pytest.raises(ValueError, match="indices"):
+            ghzsim.ghz_states(p, [1 << p], [0])
+
+    @pytest.mark.parametrize("qubits", [1, 3, 6])
+    def test_batched_hadamard_matches_one_axis_at_a_time(self, qubits):
+        (states,) = ghzsim.random_pure_states(qubits, 9, np.random.default_rng(qubits))
+        dist = ghzsim.x_basis_parity_distributions(states)
+        for row, amps in zip(dist, states):
+            transformed = _reference_hadamard(amps)
+            assert np.array_equal(hadamard_transform(StateVector(amps)).amplitudes, transformed)
+            probs = np.abs(transformed) ** 2
+            parity = np.array([bin(i).count("1") & 1 for i in range(probs.size)])
+            assert row.tolist() == pytest.approx([probs[parity == 0].sum(),
+                                                  probs[parity == 1].sum()], abs=1e-15)
+            single = x_basis_parity_distribution(StateVector(amps))
+            assert row.tolist() == [single[0], single[1]]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_expansion_checks_match_reference(self, p):
+        labels = _labels(p)
+        words = [int("".join(map(str, bits)), 2) for bits, _ in labels]
+        ys = [y for _, y in labels]
+        assert ghzsim.hadamard_expansion_checks(p, words, ys).all()
+        # Perturbations of the order of atol: some labels pass, some fail.
+        rng = np.random.default_rng(2)
+        family = ghzsim.ghz_states(p, words, ys)
+        noisy = family + 2e-10 * rng.random(family.shape) * (rng.random(family.shape) < 0.3)
+        noisy /= np.linalg.norm(noisy, axis=1)[:, None]
+        passed = []
+        for states in (noisy, family[::-1]):
+            got = ghzsim.hadamard_expansion_checks(p, words, ys, states)
+            expect = [np.allclose(_reference_hadamard(amps), _reference_expansion(p, bits, y),
+                                  atol=1e-10, rtol=0.0)
+                      for amps, (bits, y) in zip(states, labels)]
+            assert got.tolist() == expect
+            assert got.tolist() == [hadamard_expansion_check(p, bits, y, StateVector(amps))
+                                    for amps, (bits, y) in zip(states, labels)]
+            passed.append(sum(expect))
+        assert 0 < passed[0] < len(labels) and passed[1] == 0
+
+
+class TestBatteryMatchesSingleInputs:
+    """The battery's checks equal the same checks built from single-input functions."""
+
+    def test_ghz_checks(self):
+        parity = orthonormal = 0.0
+        failing = 0
+        for p in (1, 2, 3):
+            basis = [(bits, y, ghz_state(p, bits, y)) for bits, y in _labels(p)]
+            for bits, y, state in basis:
+                dist = x_basis_parity_distribution(state)
+                parity = max(parity, abs(dist[y] - 1.0), dist[1 - y])
+                failing += not hadamard_expansion_check(p, bits, y)
+                for bits2, y2, state2 in basis:
+                    expect = 1.0 if (bits, y) == (bits2, y2) else 0.0
+                    overlap = abs(np.vdot(state.amplitudes, state2.amplitudes))
+                    orthonormal = max(orthonormal, abs(overlap - expect))
+        assert verify.check_parity_exact().margin == parity
+        assert verify.check_orthonormality().margin == orthonormal
+        assert verify.check_expansion().margin == failing == 0
+
+    def test_sieve_equivalence(self, monkeypatch):
+        trials = ghzsim._chunk_size(48 << 8) + 2  # crosses a draw block at 8 qubits
+        seen = _spy(monkeypatch, "cad_delayed_measurement_distances")
+        result = verify.check_sieve_equivalence(np.random.SeedSequence(5), trials)
+        worst = 0.0
+        configs = ((1, 1), (2, 1), (1, 2))
+        assert [args[:2] for args, _ in seen] == [(1, 1), (2, 1), (1, 2), (1, 2)]
+        assert [len(args[2]) for args, _ in seen][-2:] == [trials - 2, 2]
+        for (p, rounds), child in zip(configs, np.random.SeedSequence(5).spawn(3)):
+            rng = np.random.Generator(np.random.Philox(child))
+            states = [_reference_draw(2 * rounds * (p + 1), rng) for _ in range(trials)]
+            calls = [call for call in seen if call[0][:2] == (p, rounds)]
+            assert np.array_equal(np.concatenate([args[2] for args, _ in calls]), np.stack(states))
+            distances = np.concatenate([result for _, result in calls])
+            singles = [cad_delayed_measurement_equivalence(p, rounds, StateVector(s))
+                       for s in states]
+            assert distances.tolist() == singles
+            worst = max(worst, *singles)
+        assert result.margin == worst
+        assert result.detail == f"max TV distance over {trials} random states per config"
+
+    def test_key_min_entropy(self, monkeypatch):
+        trials = 12
+        seen = _spy(monkeypatch, "key_min_entropy_checks", consume=list)
+        result = verify.check_key_min_entropy(np.random.SeedSequence(6), trials)
+        worst = math.inf
+        configs = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))
+        assert len(seen) == len(configs)
+        children = np.random.SeedSequence(6).spawn(len(configs))
+        for (n, p), child, (args, results) in zip(configs, children, seen):
+            rng = np.random.Generator(np.random.Philox(child))
+            word_sets = []
+            for _ in range(trials):
+                size = int(rng.integers(1, 2**n + 1))
+                picks = rng.choice(2**n, size=size, replace=False)
+                word_sets.append([format(int(w), f"0{n}b") for w in sorted(picks)])
+            assert args[:2] == (n, p)
+            assert args[2] == [[int(w, 2) for w in words] for words in word_sets]
+            singles = [key_min_entropy_check(n, p, words) for words in word_sets]
+            assert results == singles
+            worst = min(worst, *(hmin - bound for hmin, bound in singles))
+        assert result.margin == worst
+
+
+def _spy(monkeypatch, name, consume=None):
+    """Record the arguments and result of each call to a ghzsim kernel."""
+    seen = []
+    original = getattr(ghzsim, name)
+
+    def spy(first, second, inputs):
+        inputs = consume(inputs) if consume else inputs
+        result = original(first, second, inputs)
+        seen.append(((first, second, inputs), result))
+        return result
+
+    monkeypatch.setattr(ghzsim, name, spy)
+    return seen
