@@ -218,16 +218,15 @@ def _apply_config(command: argparse.ArgumentParser, args: argparse.Namespace, pa
                 raise _CliError(f"{path}:{lineno}: {exc}") from exc
 
 
-def _parse_qz(text: str, bobs: int, flag: str = "--qz") -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise _CliError(f"empty {flag} value")
-    values = [float(p) for p in parts]
-    if len(values) == 1:
-        values = values * bobs
-    if len(values) != bobs:
-        raise _CliError(f"{flag} needs 1 or {bobs} values, got {len(values)}")
-    return tuple(values)
+def _parse_floats(text: str) -> tuple:
+    """A comma list of numbers; ``_check_args`` broadcasts one value to every party."""
+    try:
+        values = tuple(float(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma list of numbers, got {text}")
+    return values
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -247,7 +246,7 @@ def _add_protocol(sub: argparse.ArgumentParser, *, with_q: bool = True) -> None:
                      help="post-sieve error rate used inside leak_EC")
     if with_q:
         sub.add_argument("--q", type=float, help="X-basis flip rate per half")
-        sub.add_argument("--qz",
+        sub.add_argument("--qz", type=_parse_floats,
                          help="Z flip rates: one value or a comma list, one per party")
 
 
@@ -268,9 +267,9 @@ def build_parser() -> _Parser:
     sweep_q.add_argument("--q-max", type=float)
     sweep_q.add_argument("--q-step", type=float, default=0.01)
     _add_protocol(sweep_q, with_q=False)
-    sweep_q.add_argument("--qz", default=None,
+    sweep_q.add_argument("--qz", type=_parse_floats,
                          help="fixed Z flip rates (otherwise scaled from Q)")
-    sweep_q.add_argument("--qz-factors", default="1",
+    sweep_q.add_argument("--qz-factors", type=_parse_floats, default="1",
                          help="per-party multipliers applied to Q (comma list)")
     _add_common(sweep_q)
     sweep_q.set_defaults(func=cmd_sweep_q, parser=sweep_q)
@@ -324,7 +323,7 @@ def _emit_reports(args, reports) -> int:
 
 
 def cmd_rate(args) -> int:
-    noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
+    noise = NoiseModel(args.q, args.qz)
     report = _point_report(args, args.signals // 2, noise)
     return _emit_reports(args, [report])
 
@@ -337,10 +336,9 @@ def cmd_sweep_q(args) -> int:
         raise _CliError(f"the q grid has more than {MAX_SWEEP_POINTS} points")
     qs = [args.q_min + i * args.q_step for i in range(math.floor(steps) + 1)]
     if args.qz is None:
-        factors = _parse_qz(args.qz_factors, args.bobs, "--qz-factors")
-        noises = [NoiseModel(q, tuple(f * q for f in factors)) for q in qs]
+        noises = [NoiseModel(q, tuple(f * q for f in args.qz_factors)) for q in qs]
     else:
-        noises = [NoiseModel(q, _parse_qz(args.qz, args.bobs)) for q in qs]
+        noises = [NoiseModel(q, args.qz) for q in qs]
     reports = [_point_report(args, args.signals // 2, noise) for noise in noises]
     return _emit_reports(args, reports)
 
@@ -350,7 +348,7 @@ def cmd_sweep_n(args) -> int:
         raise _CliError(f"need signals-min <= signals-max and 1 <= points <= {MAX_SWEEP_POINTS}")
     grid = geometric_grid(args.signals_min, args.signals_max, args.points)
     totals = sorted({max(2, 2 * int(round(v / 2))) for v in grid})
-    noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
+    noise = NoiseModel(args.q, args.qz)
     reports = [_point_report(args, total // 2, noise) for total in totals]
     return _emit_reports(args, reports)
 
@@ -370,7 +368,7 @@ def cmd_simulate(args) -> int:
         raise _CliError("trials must be at least 1")
     if args.trials * args.bobs > MAX_TRIAL_PARTIES:
         raise _CliError(f"trials x p must be at most {MAX_TRIAL_PARTIES}")
-    noise = NoiseModel(args.q, _parse_qz(args.qz, args.bobs))
+    noise = NoiseModel(args.q, args.qz)
     half = args.signals // 2
     m = args.m if args.m is not None else optimize_m(
         args.bobs, half, args.epsilon, noise, error_formula=args.error_formula)[0]
@@ -458,8 +456,16 @@ def _check_args(args: argparse.Namespace) -> None:
                if getattr(args, flag[2:].replace("-", "_")) is None]
     if missing:
         raise _CliError(f"the following arguments are required: {', '.join(missing)}")
-    if not 1 <= getattr(args, "bobs", 1) <= MAX_PARTIES:
+    bobs = getattr(args, "bobs", 1)
+    if not 1 <= bobs <= MAX_PARTIES:
         raise _CliError(f"--p must be between 1 and {MAX_PARTIES}")
+    for flag in ("--qz", "--qz-factors"):  # one value per party
+        dest = flag[2:].replace("-", "_")
+        values = getattr(args, dest, None)
+        if values is not None and len(values) == 1:
+            setattr(args, dest, values * bobs)
+        elif values is not None and len(values) != bobs:
+            raise _CliError(f"{flag} needs 1 or {bobs} values, got {len(values)}")
 
 
 def main(argv=None) -> int:

@@ -17,22 +17,23 @@ the handful of quantum facts the key-rate analysis relies on:
 
 Everything is computed by exact marginalization of squared amplitudes,
 never by sampling, so the checks are deterministic.  Every kernel takes a
-batch: states as the rows of a 2-D amplitude array (or a sequence of
-:class:`StateVector`), checked as the constructor checks one state, or
-parity sets as word indices.  Each input gets the same bits as a batch of
-one, which is what the single-input functions are.  ``ghz_states`` builds
-a stacked family of GHZ basis states and ``random_pure_states`` draws
-random states in blocks, one generator call per block.  The sieve and
-min-entropy kernels consume their inputs in chunks whose largest
-temporary stays within 512 KiB.  The sieve's packed-key map, its
-delayed-order CNOT circuit (one gather permutation) and the min-entropy
-head vectors are built once per layout, on first use.  States are dense
-complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
-(16 MiB per vector), checked before anything is allocated; within a GHZ
-block, qubit 1 belongs to the first party and qubits 2..p+1 to the
-others.  Qubit 1 is the most significant bit of the amplitude index, so
-in the ``(2,) * k`` axis view every kernel works on, qubit q is axis
-q - 1.
+batch in one format: states as the rows of a 2-D amplitude array, each
+checked as the constructor checks one state, GHZ labels as integer word
+indices and phase bits, parity sets as a sequence of word sets.  Each
+input gets the same bits as a batch of one, which is what the
+single-input functions are; they convert a StateVector or a word spelled
+as bits.  ``ghz_states`` builds a stacked family of GHZ basis states and
+``random_pure_states`` draws random states in blocks, one generator call
+per block.  The sieve and min-entropy kernels slice their inputs into
+chunks whose largest temporary stays within 512 KiB.  The sieve's
+packed-key map, its delayed-order CNOT circuit (one gather permutation)
+and the min-entropy head vectors are built once per layout, on first
+use.  States are dense complex vectors with a hard cap of
+``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per vector), checked before
+anything is allocated; within a GHZ block, qubit 1 belongs to the first
+party and qubits 2..p+1 to the others.  Qubit 1 is the most significant
+bit of the amplitude index, so in the ``(2,) * k`` axis view every
+kernel works on, qubit q is axis q - 1.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,15 +131,10 @@ class StateVector:
         return f"StateVector(qubits={self._k})"
 
 
-def _stacked(states) -> np.ndarray:
-    """A batch of states as the rows of a complex array.
-
-    ``states`` is a sequence of :class:`StateVector` or a 2-D array of
-    amplitude rows; each row of an array is checked as the constructor
-    checks one state.
-    """
-    if not isinstance(states, np.ndarray):
-        return np.stack([s.amplitudes for s in states])
+def _stacked(states: np.ndarray) -> np.ndarray:
+    """A 2-D array of amplitude rows as complex rows, each row checked as
+    the constructor checks one state."""
+    states = np.asarray(states)
     if states.ndim != 2:
         raise ValueError(f"expected a 2-D array of amplitude rows, got {states.ndim} dimensions")
     _qubits(states.shape[1])
@@ -147,27 +143,17 @@ def _stacked(states) -> np.ndarray:
     return amps
 
 
-def _as_bit_array(x: "BitString | str | Iterable[int]", length: int | None = None) -> np.ndarray:
-    """A word's bits as a fresh uint8 array."""
-    if isinstance(x, str):
-        x = BitString(x)
-    if isinstance(x, BitString):
-        arr = np.fromiter(x, dtype=np.uint8, count=len(x))
-    else:
-        arr = np.asarray(list(x), dtype=np.uint8)
-        if arr.size and not np.all((arr == 0) | (arr == 1)):
-            raise ValueError("bits must be 0 or 1")
-    if length is not None and arr.size != length:
-        raise ValueError(f"expected {length} bits, got {arr.size}")
-    return arr
-
-
-def _bits_to_index(bits: np.ndarray) -> int:
-    # MSB-first packing, matching the qubit-1-is-MSB convention.
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+def _word_index(word, n: int) -> int:
+    """The index (first bit most significant) of an n-bit word given as its
+    index or as n bits: a string, a BitString or an iterable of 0/1 values."""
+    if isinstance(word, (int, np.integer)):
+        if not 0 <= word < 1 << n:
+            raise ValueError(f"word index {word} is not in [0, 2**{n})")
+        return int(word)
+    bits = str(word if isinstance(word, BitString) else BitString(word))
+    if len(bits) != n:
+        raise ValueError(f"expected a word of length {n}, got {len(bits)} bits")
+    return int(bits, 2)
 
 
 def _checked_labels(p: int, words, ys) -> tuple:
@@ -175,14 +161,16 @@ def _checked_labels(p: int, words, ys) -> tuple:
     if p < 1:
         raise ValueError("need at least one trailing qubit (p >= 1)")
     _check_cap(p + 1)
-    words, ys = np.asarray(words, dtype=np.intp), np.asarray(ys)
+    words, ys = np.asarray(words), np.asarray(ys)
     if words.ndim != 1 or words.shape != ys.shape:
         raise ValueError("need one phase bit per correlation word")
+    if words.size and (words.dtype.kind not in "biu" or ys.dtype.kind not in "biu"):
+        raise ValueError("correlation-word indices and phase bits must be integers")
     if np.any((ys != 0) & (ys != 1)):
         raise ValueError("y must be a bit")
     if np.any((words < 0) | (words >= 1 << p)):
         raise ValueError(f"correlation-word indices must lie in [0, 2**{p})")
-    return words, ys.astype(np.intp)
+    return words.astype(np.intp), ys.astype(np.intp)
 
 
 def ghz_states(p: int, words, ys) -> np.ndarray:
@@ -202,12 +190,10 @@ def ghz_states(p: int, words, ys) -> np.ndarray:
 def ghz_state(p: int, x, y: int) -> StateVector:
     """The (p+1)-qubit GHZ basis state (|0,x> + (-1)^y |1,~x>)/sqrt(2).
 
-    ``x`` is the p-bit correlation word carried by the trailing qubits and
-    ``y`` the phase bit; ``~x`` is the bitwise complement of ``x``.
+    ``x`` is the p-bit correlation word (or its index) on the trailing qubits
+    and ``y`` the phase bit; ``~x`` is the bitwise complement of ``x``.
     """
-    if p < 1:
-        raise ValueError("need at least one trailing qubit (p >= 1)")
-    return StateVector(ghz_states(p, [_bits_to_index(_as_bit_array(x, p))], [y])[0])
+    return StateVector(ghz_states(p, [_word_index(x, p)], [y])[0])
 
 
 def compose(*states: StateVector) -> StateVector:
@@ -287,7 +273,7 @@ def x_basis_parity_distribution(state: StateVector) -> dict:
 
     Returns ``{0: prob, 1: prob}`` computed by exact marginalization.
     """
-    even, odd = x_basis_parity_distributions([state])[0]
+    even, odd = x_basis_parity_distributions(state.amplitudes[None])[0]
     return {0: float(even), 1: float(odd)}
 
 
@@ -298,7 +284,7 @@ def hadamard_expansion_checks(
 
     Label i is the correlation-word index ``words[i]`` (its first bit most
     significant) and the phase bit ``ys[i]``; ``states`` (default: the GHZ
-    states of the labels) holds one state per label.
+    states of the labels) holds one amplitude row per label.
     """
     words, ys = _checked_labels(p, words, ys)
     amps = ghz_states(p, words, ys) if states is None else _stacked(states)
@@ -323,9 +309,8 @@ def hadamard_expansion_check(
     XOR the parity of the trailing bits, and carries sign (-1)^{c.x}
     where c ranges over the trailing bits.
     """
-    word = _bits_to_index(_as_bit_array(x, p))
-    states = None if state is None else [state]
-    return bool(hadamard_expansion_checks(p, [word], [y], states, atol=atol)[0])
+    states = None if state is None else state.amplitudes[None]
+    return bool(hadamard_expansion_checks(p, [_word_index(x, p)], [y], states, atol=atol)[0])
 
 
 # The largest temporary a batched kernel builds for one chunk of inputs.
@@ -337,14 +322,9 @@ def _chunk_size(nbytes: int) -> int:
     return max(1, _CHUNK_BYTES // nbytes)
 
 
-def _chunks(items: Iterable, size: int):
-    """``items`` in lists of ``size``; an array in slices of ``size`` rows."""
-    if isinstance(items, np.ndarray):
-        yield from (items[start:start + size] for start in range(0, len(items), size))
-        return
-    items = iter(items)
-    while chunk := list(itertools.islice(items, size)):
-        yield chunk
+def _chunks(items: Sequence, size: int):
+    """A sequence or an array in slices of ``size`` items."""
+    return (items[start:start + size] for start in range(0, len(items), size))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +415,7 @@ def _sieve_keys(p: int, rounds: int) -> np.ndarray:
     return keys
 
 
-def _sieve_key_probs(p: int, rounds: int, states, order: str) -> np.ndarray:
+def _sieve_key_probs(p: int, rounds: int, states: np.ndarray, order: str) -> np.ndarray:
     """Dense probability vectors over packed keys, one row per state."""
     blocks = rounds * (p + 1)
     amps = _stacked(states)
@@ -480,7 +460,7 @@ def cad_record_distribution(
     both round-major with party 0 first; ``kept`` contains every party's
     Left-qubit outcome for accepted rounds only.
     """
-    dense = _sieve_key_probs(p, rounds, [state], order)[0]
+    dense = _sieve_key_probs(p, rounds, state.amplitudes[None], order)[0]
     return {
         _decode_sieve_key(int(key), p, rounds): float(prob)
         for key, prob in enumerate(dense)
@@ -488,12 +468,9 @@ def cad_record_distribution(
     }
 
 
-def cad_delayed_measurement_distances(p: int, rounds: int, states: Iterable) -> np.ndarray:
-    """:func:`cad_delayed_measurement_equivalence` for each state, in input order.
-
-    ``states``, StateVectors or a 2-D array of amplitude rows, is consumed
-    chunk by chunk.
-    """
+def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -> np.ndarray:
+    """:func:`cad_delayed_measurement_equivalence` for each row of the 2-D
+    amplitude array ``states``, in row order."""
     blocks = rounds * (p + 1)
     distances = [np.zeros(0)]
     for chunk in _chunks(states, _chunk_size(8 << (3 * blocks))):
@@ -505,7 +482,7 @@ def cad_delayed_measurement_distances(p: int, rounds: int, states: Iterable) -> 
 
 def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector) -> float:
     """Total variation distance between the direct and delayed sieve records."""
-    return float(cad_delayed_measurement_distances(p, rounds, [state])[0])
+    return float(cad_delayed_measurement_distances(p, rounds, state.amplitudes[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +507,8 @@ def _head_vectors(n: int) -> np.ndarray:
 
 
 def _parity_set(n: int, parity_words: Iterable) -> list:
-    """A parity-word set as sorted, distinct word indices.
-
-    A word is its index, first bit most significant, or its n bits as a
-    string, a BitString or an iterable of 0/1 values.
-    """
-    indices = set()
-    for w in parity_words:
-        if isinstance(w, (int, np.integer)):
-            if not 0 <= w < 1 << n:
-                raise ValueError(f"parity-word index {w} is not in [0, 2**{n})")
-            indices.add(int(w))
-        else:
-            bits = w if isinstance(w, BitString) else BitString(w)
-            if len(bits) != n:
-                raise ValueError(f"every parity word must have length {n}")
-            indices.add(int(str(bits), 2))
+    """A parity-word set as sorted, distinct word indices."""
+    indices = {_word_index(w, n) for w in parity_words}
     if not indices:
         raise ValueError("empty parity-word set")
     return sorted(indices)
@@ -578,11 +541,9 @@ def _key_min_entropies(n: int, p: int, sets: list) -> list:
     return [(-math.log2(float(peak)), n - math.log2(len(s))) for peak, s in zip(peaks, sets)]
 
 
-def key_min_entropy_checks(n: int, p: int, word_sets: Iterable) -> list:
-    """:func:`key_min_entropy_check` for each parity-word set, in input order.
-
-    ``word_sets`` is consumed chunk by chunk.
-    """
+def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
+    """:func:`key_min_entropy_check` for each parity-word set of the
+    sequence ``word_sets``, in order."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     k = n * (p + 1)

@@ -133,7 +133,7 @@ def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
     configs = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))  # (n, p)
     worst = math.inf
     for (n, p), rng in zip(configs, _streams(seeds, len(configs))):
-        word_sets = (_parity_words(n, rng) for _ in range(trials))
+        word_sets = [_parity_words(n, rng) for _ in range(trials)]
         results = ghzsim.key_min_entropy_checks(n, p, word_sets)
         worst = _fold(min, worst, [hmin - bound for hmin, bound in results])
     return (worst >= -1e-9, worst,

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qcka_cad.bitcore import BitString, binary_entropy
-from qcka_cad.ghzsim import _as_bit_array
 
 # 50-digit reference evaluation of -x log2 x - (1-x) log2 (1-x) at x = 0.18.
 H_018 = 0.6800770457282798
@@ -46,7 +45,6 @@ class TestBitString:
             q._bits = None
         with pytest.raises(TypeError):
             q._bits[0] = 1  # the bits are held as bytes
-        _as_bit_array(q)[0] = 1  # mutating ghzsim's array copy must not affect the word
         assert str(q) == "01"
 
 

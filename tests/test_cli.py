@@ -132,7 +132,13 @@ class TestUsageErrors:
         (("sweep-n", "--signals-min", "1e4", "--signals-max", "1e6", "--points", "nan",
           "--q", "0", "--qz", "0"), "argument --points: expected an integer, got nan"),
         (("selftest", "--seed", "1.5"), "argument --seed: expected an integer, got 1.5"),
-    ], ids=["p", "m", "signals", "points", "seed"])
+        (("rate", "--signals", "1e6", "--q", "0.1", "--qz", "two"),
+         "argument --qz: expected a comma list of numbers, got two"),
+        (("sweep-q", "--signals", "1e6", "--q-max", "0.04", "--qz-factors", "1,x"),
+         "argument --qz-factors: expected a comma list of numbers, got 1,x"),
+        (("sweep-n", "--signals-min", "1e4", "--signals-max", "1e6", "--q", "0", "--qz", ","),
+         "argument --qz: expected a comma list of numbers, got ,"),
+    ], ids=["p", "m", "signals", "points", "seed", "qz", "qz-factors", "qz-empty"])
     def test_non_number_wording(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 
@@ -173,6 +179,22 @@ class TestUsageErrors:
             assert code == EXIT_OK
         first, second, rounded = outputs.values()
         assert first == second != rounded
+
+    @pytest.mark.parametrize("argv, line, message", [
+        (("rate", "--p", "3", "--signals", "1e6", "--q", "0.1", "--qz", "0.1,0.2"), "",
+         "--qz needs 1 or 3 values, got 2"),
+        (("sweep-q", "--signals", "1e6", "--q-max", "0.04", "--qz-factors", "1,0.25"), "",
+         "--qz-factors needs 1 or 1 values, got 2"),
+        (("rate", "--signals", "1e6", "--q", "0.1", "--qz", "0.1,0.2"), "p = 3",
+         "--qz needs 1 or 3 values, got 2"),
+        (("sweep-q", "--p", "2", "--signals", "1e6", "--q-max", "0.04"), "qz_factors = 1,2,3",
+         "--qz-factors needs 1 or 2 values, got 3"),
+    ])
+    def test_rate_list_length_checked_after_config(self, capsys, tmp_path, argv, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
 
     def test_qz_length_mismatch(self, capsys):
         code, _, err = run_cli(
@@ -223,6 +245,14 @@ class TestRate:
         )
         record = dict(zip(REPORT_FIELDS, next(csv.reader(io.StringIO(out.split(chr(10))[1])))))
         assert record["qz"] == "0.02,0.02,0.02"
+
+    def test_single_qz_broadcasts_to_the_configured_p(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("p = 3\n")
+        code, out, _ = run_cli(capsys, "rate", "--signals", "1e6", "--q", "0.02",
+                               "--qz", "0.02", "--config", str(cfg))
+        record = dict(zip(REPORT_FIELDS, next(csv.reader(io.StringIO(out.split(chr(10))[1])))))
+        assert (code, record["p"], record["qz"]) == (EXIT_OK, "3", "0.02,0.02,0.02")
 
 
 class TestSweepQ:
@@ -486,6 +516,9 @@ class TestConfigFile:
         (RATE_ARGV, "signals = x", "argument --signals: signals must be a positive integer, got x"),
         (RATE_ARGV, "signals = 9007199254740993",
          "argument --signals: signals must be even (two-round blocks)"),
+        (RATE_ARGV, "qz = two", "argument --qz: expected a comma list of numbers, got two"),
+        (("sweep-q", "--signals", "1e6", "--q-max", "0.04"), "qz_factors = x",
+         "argument --qz-factors: expected a comma list of numbers, got x"),
     ])
     def test_error_wording(self, capsys, tmp_path, argv, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -509,7 +542,7 @@ class TestConfigFile:
 CONFIG_SAMPLES = {
     "signals": "2e6", "signals_min": "2e4", "signals_max": "4e6", "points": "5",
     "q": "0.03", "q_min": "0.01", "q_max": "0.12", "q_step": "0.02",
-    "qz": "0.04", "qz_factors": "1,0.5", "bobs": "2", "epsilon": "1e-12", "m": "1000",
+    "qz": "0.04", "qz_factors": "0.5", "bobs": "2", "epsilon": "1e-12", "m": "1000",
     "error_formula": "independent", "seed": "7", "trials": "3", "format": "json",
     "out": "report.csv",
 }

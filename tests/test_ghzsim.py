@@ -98,6 +98,39 @@ class TestGhzState:
         with pytest.raises(ValueError):
             ghz_state(2, "0", 0)  # wrong correlation-word length
 
+    def test_non_integer_labels_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            ghzsim.ghz_states(1, [0.7], [0])  # not word 0
+        with pytest.raises(ValueError, match="integers"):
+            ghzsim.hadamard_expansion_checks(1, [1.9], [0.0])  # not word 1
+        with pytest.raises(ValueError, match="integers"):
+            ghzsim.ghz_states(2, [1], [1.0])
+        with pytest.raises(ValueError, match="0 or 1"):
+            ghz_state(1, [256], 0)
+        assert ghzsim.ghz_states(1, [], []).shape == (0, 4)
+        assert ghzsim.hadamard_expansion_checks(1, [], []).shape == (0,)
+        assert np.array_equal(ghzsim.ghz_states(1, np.array([1], dtype=np.uint8), [True]),
+                              ghzsim.ghz_states(1, [1], [1]))  # bools and unsigned are integers
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_word_forms_agree(self, p):
+        for index in range(1 << p):
+            bits = format(index, f"0{p}b")
+            expect = ghzsim.ghz_states(p, [index], [1])[0]
+            hmin = key_min_entropy_check(p, 1, [index])
+            for word in (index, np.int64(index), bits, BitString(bits), [int(b) for b in bits],
+                         np.array([int(b) for b in bits], dtype=np.uint8)):
+                assert np.array_equal(ghz_state(p, word, 1).amplitudes, expect)
+                assert hadamard_expansion_check(p, word, 1)
+                assert not hadamard_expansion_check(p, word, 0, ghz_state(p, index, 1))
+                assert key_min_entropy_check(p, 1, [word]) == hmin
+        with pytest.raises(ValueError, match=f"length {p}, got {p + 1} bits"):
+            ghz_state(p, "0" * (p + 1), 0)
+        with pytest.raises(ValueError, match=f"index {1 << p} is not in"):
+            ghz_state(p, 1 << p, 0)
+        with pytest.raises(ValueError, match="not a binary word"):
+            hadamard_expansion_check(p, "2" * p, 0)
+
 
 class TestParityDistribution:
     def test_point_mass_on_phase_bit_exhaustive(self):
@@ -281,15 +314,17 @@ class TestBatchedKernels:
         chunk = ghzsim._chunk_size(8 << (3 * blocks))  # the delayed register
         rng = np.random.default_rng(100 * p + rounds)
         states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
+        stacked = np.stack([s.amplitudes for s in states])
         for order in ("direct", "delayed"):
-            single = [ghzsim._sieve_key_probs(p, rounds, [s], order)[0] for s in states]
+            single = [ghzsim._sieve_key_probs(p, rounds, s.amplitudes[None], order)[0]
+                      for s in states]
             for count in (1, chunk, chunk + 1):
-                batch = ghzsim._sieve_key_probs(p, rounds, states[:count], order)
+                batch = ghzsim._sieve_key_probs(p, rounds, stacked[:count], order)
                 assert batch.shape == (count, 1 << (2 * blocks))
                 assert all(np.array_equal(b, s) for b, s in zip(batch, single))
         single = [cad_delayed_measurement_equivalence(p, rounds, s) for s in states]
         for count in (1, chunk, chunk + 1):
-            batch = cad_delayed_measurement_distances(p, rounds, iter(states[:count]))
+            batch = cad_delayed_measurement_distances(p, rounds, stacked[:count])
             assert batch.tolist() == single[:count]
 
     @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
@@ -303,7 +338,7 @@ class TestBatchedKernels:
             sets.append([everything[w] for w in picks])
         single = [key_min_entropy_check(n, p, words) for words in sets]
         for count in (1, chunk, chunk + 1):
-            assert key_min_entropy_checks(n, p, iter(sets[:count])) == single[:count]
+            assert key_min_entropy_checks(n, p, sets[:count]) == single[:count]
 
     def test_empty_batches(self):
         assert cad_delayed_measurement_distances(1, 1, []).shape == (0,)
@@ -392,10 +427,10 @@ class TestBulkInputs:
     def test_array_input_checked_as_state_vector(self):
         (good,) = ghzsim.random_pure_states(4, 3, np.random.default_rng(1))
         states = [StateVector(row) for row in good]
-        assert np.array_equal(cad_delayed_measurement_distances(1, 1, good),
-                              cad_delayed_measurement_distances(1, 1, states))
-        assert np.array_equal(ghzsim.x_basis_parity_distributions(good),
-                              ghzsim.x_basis_parity_distributions(states))
+        assert cad_delayed_measurement_distances(1, 1, good).tolist() == [
+            cad_delayed_measurement_equivalence(1, 1, s) for s in states]
+        assert ghzsim.x_basis_parity_distributions(good).tolist() == [
+            list(x_basis_parity_distribution(s).values()) for s in states]
         bad = good.copy()
         bad[2] *= 1.001
         for kernel in (lambda a: cad_delayed_measurement_distances(1, 1, a),
@@ -406,6 +441,8 @@ class TestBulkInputs:
                 kernel(np.ones((2, 12)) / math.sqrt(12))
             with pytest.raises(ValueError, match="2-D"):
                 kernel(good[0])
+            with pytest.raises(ValueError, match="2-D array"):  # states as arrays only
+                kernel(states)
         with pytest.raises(ValueError, match="cap"):
             ghzsim.x_basis_parity_distributions(np.broadcast_to(0.0, (1, 1 << 21)))
         with pytest.raises(ValueError, match="6 qubits, sieve layout needs 4"):
