@@ -26,6 +26,66 @@ GOLDEN_SIMULATE_HEADER_P2 = (
 )
 
 
+# `selftest` stdout, byte for byte: the full battery at seed 0 (CSV) and the
+# quick battery at seed 8 (JSON).
+GOLDEN_SELFTEST_SEED_0 = (
+    "PASS ghz-parity-exact margin=6.661338e-16  (max deviation of the announced parity from the phase bit)\n"
+    "PASS ghz-orthonormality margin=2.220446e-16  (max deviation of pairwise inner products from identity)\n"
+    "PASS hadamard-expansion margin=0.000000e+00  (GHZ states failing the all-Hadamard expansion identity)\n"
+    "PASS sieve-equivalence margin=0.000000e+00  (max TV distance over 200 random states per config)\n"
+    "PASS key-min-entropy margin=-4.440892e-16  (min (hmin - bound) over 100 random parity sets per config)\n"
+    "PASS sampling-exhaustive margin=4.307692e-01  (min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25)\n"
+    "PASS sampling-roundtrip margin=1.714360e-16  (max relative log-space error of the delta inverse)\n"
+)
+
+GOLDEN_SELFTEST_SEED_8_QUICK_JSON = """\
+[
+  {
+    "name": "ghz-parity-exact",
+    "status": "PASS",
+    "margin": 6.661338147750939e-16,
+    "detail": "max deviation of the announced parity from the phase bit"
+  },
+  {
+    "name": "ghz-orthonormality",
+    "status": "PASS",
+    "margin": 2.220446049250313e-16,
+    "detail": "max deviation of pairwise inner products from identity"
+  },
+  {
+    "name": "hadamard-expansion",
+    "status": "PASS",
+    "margin": 0.0,
+    "detail": "GHZ states failing the all-Hadamard expansion identity"
+  },
+  {
+    "name": "sieve-equivalence",
+    "status": "PASS",
+    "margin": 0.0,
+    "detail": "max TV distance over 10 random states per config"
+  },
+  {
+    "name": "key-min-entropy",
+    "status": "PASS",
+    "margin": -4.440892098500626e-16,
+    "detail": "min (hmin - bound) over 10 random parity sets per config"
+  },
+  {
+    "name": "sampling-exhaustive",
+    "status": "PASS",
+    "margin": 0.4307692307692308,
+    "detail": "min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25"
+  },
+  {
+    "name": "sampling-roundtrip",
+    "status": "PASS",
+    "margin": 1.7143599405391772e-16,
+    "detail": "max relative log-space error of the delta inverse"
+  }
+]
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -366,6 +426,13 @@ class TestSelftest:
         payload = json.loads(out)
         assert all(item["status"] == "PASS" for item in payload)
         assert all(type(item["margin"]) is float for item in payload)
+
+    def test_full_csv_stdout_is_pinned(self, capsys):
+        assert run_cli(capsys, "selftest", "--seed", "0") == (EXIT_OK, GOLDEN_SELFTEST_SEED_0, "")
+
+    def test_quick_json_stdout_is_pinned(self, capsys):
+        argv = ("selftest", "--seed", "8", "--quick", "--format", "json")
+        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEED_8_QUICK_JSON, "")
 
 
     # The battery runs the batched kernels; each id names the single-state
