@@ -31,7 +31,6 @@ _EXPORTS = {
     "hadamard_transform": "ghzsim",
     "x_basis_parity_distribution": "ghzsim",
     "hadamard_expansion_check": "ghzsim",
-    "cad_record_distribution": "ghzsim",
     "cad_delayed_measurement_equivalence": "ghzsim",
     "key_min_entropy_check": "ghzsim",
     "sampling_failure_log": "sampling",
@@ -51,7 +50,6 @@ _EXPORTS = {
     "leak_ec": "keyrate",
     "key_length": "keyrate",
     "optimize_m": "keyrate",
-    "pa_output_length_check": "keyrate",
 }
 
 __all__ = list(_EXPORTS)

@@ -10,7 +10,8 @@ the handful of quantum facts the key-rate analysis relies on:
   with the correlation word,
 * announcing two-bit parities via CNOTs onto ancillas and measuring later
   is equivalent to measuring first and XOR-ing classically (the delayed
-  measurement form of the two-block sieve),
+  measurement form of the two-block sieve): both orders give the same
+  joint distribution of Left bits and parities,
 * a uniform superposition of GHZ words drawn from a restricted parity set
   leaves at least ``n - log2|set|`` bits of min-entropy in the first-qubit
   measurement.
@@ -26,14 +27,14 @@ as bits.  ``ghz_states`` builds a stacked family of GHZ basis states and
 ``random_pure_states`` draws random states in blocks, one generator call
 per block.  The sieve and min-entropy kernels slice their inputs into
 chunks whose largest temporary stays within 512 KiB.  The sieve's
-packed-key map, its delayed-order CNOT circuit (one gather permutation)
-and the min-entropy head vectors are built once per layout, on first
-use.  States are dense complex vectors with a hard cap of
-``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per vector), checked before
-anything is allocated; within a GHZ block, qubit 1 belongs to the first
-party and qubits 2..p+1 to the others.  Qubit 1 is the most significant
-bit of the amplitude index, so in the ``(2,) * k`` axis view every
-kernel works on, qubit q is axis q - 1.
+delayed-order CNOT circuit (one gather permutation) and the min-entropy
+head vectors are built once per layout, on first use.  States are dense
+complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
+(16 MiB per vector), checked before anything is allocated; within a GHZ
+block, qubit 1 belongs to the first party and qubits 2..p+1 to the
+others.  Qubit 1 is the most significant bit of the amplitude index, so
+in the ``(2,) * k`` axis view every kernel works on, qubit q is axis
+q - 1.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ __all__ = [
     "x_basis_parity_distributions",
     "hadamard_expansion_check",
     "hadamard_expansion_checks",
-    "cad_record_distribution",
     "cad_delayed_measurement_equivalence",
     "cad_delayed_measurement_distances",
     "key_min_entropy_check",
@@ -277,9 +277,7 @@ def x_basis_parity_distribution(state: StateVector) -> dict:
     return {0: float(even), 1: float(odd)}
 
 
-def hadamard_expansion_checks(
-    p: int, words, ys, states=None, *, atol: float = 1e-10
-) -> np.ndarray:
+def hadamard_expansion_checks(p: int, words, ys, states=None) -> np.ndarray:
     """:func:`hadamard_expansion_check` of each label, as a bool array.
 
     Label i is the correlation-word index ``words[i]`` (its first bit most
@@ -295,22 +293,21 @@ def hadamard_expansion_checks(
     signs = np.where(parity[words[:, None] & c], -1.0, 1.0) * 2.0 ** (-p / 2.0)
     expected = np.zeros_like(amps)
     expected[np.arange(words.size)[:, None], ((ys[:, None] ^ parity) << p) | c] = signs
-    return np.isclose(_hadamard(amps), expected, atol=atol, rtol=0.0).all(axis=1)
+    return np.isclose(_hadamard(amps), expected, atol=1e-10, rtol=0.0).all(axis=1)
 
 
-def hadamard_expansion_check(
-    p: int, x, y: int, state: StateVector | None = None, *, atol: float = 1e-10
-) -> bool:
+def hadamard_expansion_check(p: int, x, y: int, state: StateVector | None = None) -> bool:
     """Check the all-Hadamard expansion of a GHZ state.
 
     Expands ``state`` (default: the GHZ state for ``(x, y)``) in the
     Hadamard basis and verifies that every nonzero coefficient has
     magnitude 2^{-p/2}, lives on outcomes whose leading bit equals ``y``
     XOR the parity of the trailing bits, and carries sign (-1)^{c.x}
-    where c ranges over the trailing bits.
+    where c ranges over the trailing bits, every coefficient to within an
+    absolute 1e-10.
     """
     states = None if state is None else state.amplitudes[None]
-    return bool(hadamard_expansion_checks(p, [_word_index(x, p)], [y], states, atol=atol)[0])
+    return bool(hadamard_expansion_checks(p, [_word_index(x, p)], [y], states)[0])
 
 
 # The largest temporary a batched kernel builds for one chunk of inputs.
@@ -339,9 +336,8 @@ def _chunks(items: Sequence, size: int):
 # axis b on the Left, axis r(p+1) + b on the Right and axis 2r(p+1) + b
 # for its ancilla, and bit blocks-1-b of a packed Left or parity word.
 #
-# The key map and the delayed circuit depend only on the layout, so each
-# is built once per layout (a handful, bounded by the qubit cap) and kept
-# read-only.
+# The delayed circuit depends only on the layout, so it is built once per
+# layout (a handful, bounded by the qubit cap) and kept read-only.
 
 
 def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -374,18 +370,22 @@ def _delayed_sources(blocks: int) -> np.ndarray:
     return sources
 
 
-def _sieve_tables(blocks: int, amps: np.ndarray, order: str) -> np.ndarray:
-    """Joint tables ``P[state, Left bits, parity bits]`` of one measurement order."""
+def _direct_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
+    """Joint tables ``P[state, Left bits, parity bits]`` when every qubit is
+    measured in Z and each parity is XOR-ed classically:
+    ``P[l, l ^ r] = |psi[l, r]|^2``."""
     count, size = len(amps), 1 << blocks
-    if order == "direct":
-        probs = np.abs(amps.reshape(count, size, size)) ** 2
-        left = np.arange(size)[:, None]
-        table = np.empty_like(probs)
-        table[:, left, left ^ np.arange(size)] = probs
-        return table
-    if order != "delayed":
-        raise ValueError(f"unknown measurement order {order!r}")
-    system = 2 * blocks
+    probs = np.abs(amps.reshape(count, size, size)) ** 2
+    left = np.arange(size)[:, None]
+    table = np.empty_like(probs)
+    table[:, left, left ^ np.arange(size)] = probs
+    return table
+
+
+def _delayed_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
+    """Joint tables ``P[state, Left bits, parity bits]`` when two CNOTs per
+    block write each parity onto an ancilla before anything is measured."""
+    count, size, system = len(amps), 1 << blocks, 2 * blocks
     _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
     # The circuit only moves amplitudes, so moving the squared moduli gives
     # the register's measurement distribution.
@@ -396,92 +396,30 @@ def _sieve_tables(blocks: int, amps: np.ndarray, order: str) -> np.ndarray:
     return probs.reshape(count, size, size, size).sum(axis=2)
 
 
-@functools.lru_cache(maxsize=None)
-def _sieve_keys(p: int, rounds: int) -> np.ndarray:
-    """Packed (parities, masked kept bits) key of every table cell, flat."""
-    # A round is accepted when every party reports the same parity as
-    # party 0; kept bits outside accepted rounds are zeroed so that the
-    # packed key identifies the record uniquely.
-    parties = p + 1
-    blocks = rounds * parties
-    size = 1 << blocks
-    words = np.arange(size)
-    weights = 1 << np.arange(blocks - 1, -1, -1)
-    by_round = ((words[:, None] & weights) != 0).reshape(size, rounds, parties)
-    accepted = (by_round == by_round[:, :, :1]).all(axis=2)
-    keep = np.repeat(accepted, parties, axis=1) @ weights
-    keys = ((words << blocks) | (words[:, None] & keep)).ravel()
-    keys.setflags(write=False)
-    return keys
-
-
-def _sieve_key_probs(p: int, rounds: int, states: np.ndarray, order: str) -> np.ndarray:
-    """Dense probability vectors over packed keys, one row per state."""
-    blocks = rounds * (p + 1)
-    amps = _stacked(states)
-    cells = 1 << (2 * blocks)
-    if amps.shape[1] != cells:
-        raise ValueError(
-            f"state has {_qubits(amps.shape[1])} qubits, sieve layout needs {2 * blocks}"
-        )
-    table = _sieve_tables(blocks, amps, order)
-    # Offsetting each state's keys keeps its bins apart and fills every bin
-    # in the same order as for the state alone.
-    keys = _sieve_keys(p, rounds) + cells * np.arange(len(amps))[:, None]
-    dense = np.bincount(keys.ravel(), weights=table.ravel(), minlength=keys.size)
-    return dense.reshape(len(amps), cells)
-
-
-def _decode_sieve_key(key: int, p: int, rounds: int) -> tuple:
-    parties = p + 1
-    blocks = rounds * parties
-    bits = [(key >> (2 * blocks - 1 - b)) & 1 for b in range(2 * blocks)]
-    parities = tuple(bits[:blocks])
-    kept = []
-    for base in range(0, blocks, parties):
-        if len(set(parities[base : base + parties])) == 1:
-            kept.extend(bits[blocks + base : blocks + base + parties])
-    return parities, tuple(kept)
-
-
-def cad_record_distribution(
-    p: int,
-    rounds: int,
-    state: StateVector,
-    *,
-    order: str = "direct",
-) -> dict:
-    """Joint distribution of parity announcements and kept key bits.
-
-    ``order="direct"`` measures every qubit in Z and applies the sieve
-    classically; ``order="delayed"`` first writes each party's two-bit
-    parity onto an ancilla with two CNOTs, measures the ancillas, then
-    measures the kept qubits.  Records are ``(parities, kept)`` tuples,
-    both round-major with party 0 first; ``kept`` contains every party's
-    Left-qubit outcome for accepted rounds only.
-    """
-    dense = _sieve_key_probs(p, rounds, state.amplitudes[None], order)[0]
-    return {
-        _decode_sieve_key(int(key), p, rounds): float(prob)
-        for key, prob in enumerate(dense)
-        if prob > 0.0
-    }
-
-
 def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -> np.ndarray:
     """:func:`cad_delayed_measurement_equivalence` for each row of the 2-D
     amplitude array ``states``, in row order."""
     blocks = rounds * (p + 1)
     distances = [np.zeros(0)]
     for chunk in _chunks(states, _chunk_size(8 << (3 * blocks))):
-        direct = _sieve_key_probs(p, rounds, chunk, "direct")
-        delayed = _sieve_key_probs(p, rounds, chunk, "delayed")
-        distances.append(0.5 * np.abs(direct - delayed).sum(axis=1))
+        amps = _stacked(chunk)
+        if amps.shape[1] != 1 << (2 * blocks):
+            raise ValueError(f"state has {_qubits(amps.shape[1])} qubits, "
+                             f"sieve layout needs {2 * blocks}")
+        gap = _direct_tables(blocks, amps) - _delayed_tables(blocks, amps)
+        distances.append(0.5 * np.abs(gap).sum(axis=(1, 2)))
     return np.concatenate(distances)
 
 
 def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector) -> float:
-    """Total variation distance between the direct and delayed sieve records."""
+    """Total variation distance between the direct and delayed sieve orders.
+
+    It is taken between the two joint tables ``P[Left bits, parity bits]``,
+    so it depends on (p, rounds) only through the block count
+    ``rounds * (p + 1)``.  A sieve record (the parities and the accepted
+    rounds' Left bits) is a function of a table cell, so the distance
+    bounds the TV distance between the two orders' records.
+    """
     return float(cad_delayed_measurement_distances(p, rounds, state.amplitudes[None])[0])
 
 

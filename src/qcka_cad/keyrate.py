@@ -42,7 +42,6 @@ __all__ = [
     "leak_ec",
     "key_length",
     "optimize_m",
-    "pa_output_length_check",
 ]
 
 
@@ -289,17 +288,3 @@ def optimize_m(
     m_star = max(range(lo, hi + 1), key=lambda m: (rate_at(m), -m))
     return m_star, cache[m_star]
 
-
-def pa_output_length_check(hmin: float, ell: float, epsilon: float) -> float:
-    """Distance bound sqrt(2^(ell - hmin)) + 2*eps for a chosen key length.
-
-    Verifies a key length against a smooth min-entropy: for ``ell``
-    produced by :func:`key_length` with positive rate, the returned value
-    is at most eps_PA.
-    """
-    if ell < 0:
-        raise ValueError("ell must be nonnegative")
-    exponent = (ell - hmin) / 2.0
-    if exponent > 1000.0:  # avoid float overflow; the check is long failed
-        return math.inf
-    return 2.0**exponent + 2.0 * epsilon

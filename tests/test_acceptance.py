@@ -13,12 +13,7 @@ import pytest
 
 from qcka_cad.bitcore import BitString
 from qcka_cad.cli import main as cli_main
-from qcka_cad.keyrate import (
-    epsilon_constants,
-    key_length,
-    optimize_m,
-    pa_output_length_check,
-)
+from qcka_cad.keyrate import epsilon_constants, key_length, optimize_m
 from qcka_cad.protosim import (
     NoiseModel,
     ProtocolParams,
@@ -256,7 +251,8 @@ def test_criterion_7_epsilon_bookkeeping(figure_reports):
                if r.rate > 0.0]
     worst = 0.0
     for report in reports:
-        bound = pa_output_length_check(report.hmin, report.ell, report.epsilon)
+        # Leftover hash lemma: the extracted key lies within this of ideal.
+        bound = 2.0 ** ((report.ell - report.hmin) / 2.0) + 2.0 * report.epsilon
         worst = max(worst, bound)
     pa_ok = worst <= eps_pa
 

@@ -13,7 +13,6 @@ from qcka_cad.ghzsim import (
     StateVector,
     cad_delayed_measurement_distances,
     cad_delayed_measurement_equivalence,
-    cad_record_distribution,
     compose,
     ghz_state,
     hadamard_expansion_check,
@@ -201,21 +200,10 @@ class TestSieveEquivalence:
     def test_noiseless_round_accepts_with_equal_keys(self):
         state = compose(ghz_state(1, "0", 0), ghz_state(1, "0", 0))
         assert cad_delayed_measurement_equivalence(1, 1, state) <= 1e-10
-        dist = cad_record_distribution(1, 1, state)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-        for (parities, kept), prob in dist.items():
-            assert parities[0] == parities[1]  # accepted
-            assert kept[0] == kept[1]  # identical kept bits
 
     def test_mismatched_correlation_forces_reject(self):
         state = compose(ghz_state(1, "1", 0), ghz_state(1, "0", 0))
         assert cad_delayed_measurement_equivalence(1, 1, state) <= 1e-10
-        for order in ("direct", "delayed"):
-            dist = cad_record_distribution(1, 1, state, order=order)
-            assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
-            for (parities, kept) in dist:
-                assert parities[0] != parities[1]  # every record rejects
-                assert kept == ()
 
     def test_random_states_give_identical_records(self):
         rng = np.random.default_rng(31)
@@ -225,32 +213,22 @@ class TestSieveEquivalence:
                 tv = cad_delayed_measurement_equivalence(p, rounds, state)
                 assert tv <= 1e-9
 
-    def test_records_match_basis_enumeration(self):
-        # Both orders share one masking path, so check it against the sieve
-        # applied by hand to every basis index of the documented layout.
+    def test_tables_match_basis_enumeration(self):
+        # Place P[L, L ^ R] = |psi[L, R]|^2 by hand for every basis index of
+        # the documented layout: Left bits high, Right bits low.
         rng = np.random.default_rng(41)
         for p, rounds in ((1, 1), (2, 1), (1, 2)):
-            parties = p + 1
-            blocks = rounds * parties
-            k = 2 * blocks
+            blocks = rounds * (p + 1)
+            size = 1 << blocks
             for _ in range(5):
-                state = random_pure_state(k, rng)
-                expect = {}
-                for idx, amp in enumerate(state.amplitudes):
-                    bits = [(idx >> (k - pos)) & 1 for pos in range(1, k + 1)]
-                    left, right = bits[:blocks], bits[blocks:]
-                    parities = tuple(a ^ b for a, b in zip(left, right))
-                    kept = ()
-                    for base in range(0, blocks, parties):
-                        if len(set(parities[base:base + parties])) == 1:
-                            kept += tuple(left[base:base + parties])
-                    record = (parities, kept)
-                    expect[record] = expect.get(record, 0.0) + abs(amp) ** 2
-                for order in ("direct", "delayed"):
-                    dist = cad_record_distribution(p, rounds, state, order=order)
-                    assert dist.keys() == expect.keys()
-                    for record, prob in expect.items():
-                        assert dist[record] == pytest.approx(prob, abs=1e-12)
+                state = random_pure_state(2 * blocks, rng)
+                probs = np.abs(state.amplitudes) ** 2
+                expect = np.zeros((size, size))
+                for idx, prob in enumerate(probs):
+                    left, right = idx >> blocks, idx & (size - 1)
+                    expect[left, left ^ right] = prob
+                for tables in (ghzsim._direct_tables, ghzsim._delayed_tables):
+                    assert np.array_equal(tables(blocks, state.amplitudes[None])[0], expect)
 
     def test_layout_validation(self):
         state = ghz_state(1, "0", 0)
@@ -315,12 +293,11 @@ class TestBatchedKernels:
         rng = np.random.default_rng(100 * p + rounds)
         states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
         stacked = np.stack([s.amplitudes for s in states])
-        for order in ("direct", "delayed"):
-            single = [ghzsim._sieve_key_probs(p, rounds, s.amplitudes[None], order)[0]
-                      for s in states]
+        for tables in (ghzsim._direct_tables, ghzsim._delayed_tables):
+            single = [tables(blocks, s.amplitudes[None])[0] for s in states]
             for count in (1, chunk, chunk + 1):
-                batch = ghzsim._sieve_key_probs(p, rounds, stacked[:count], order)
-                assert batch.shape == (count, 1 << (2 * blocks))
+                batch = tables(blocks, stacked[:count])
+                assert batch.shape == (count, 1 << blocks, 1 << blocks)
                 assert all(np.array_equal(b, s) for b, s in zip(batch, single))
         single = [cad_delayed_measurement_equivalence(p, rounds, s) for s in states]
         for count in (1, chunk, chunk + 1):
@@ -345,8 +322,7 @@ class TestBatchedKernels:
         assert key_min_entropy_checks(2, 1, []) == []
 
     def test_cached_tables_are_read_only(self):
-        for table in (ghzsim._sieve_keys(1, 2), ghzsim._delayed_sources(4),
-                      ghzsim._head_vectors(3)):
+        for table in (ghzsim._delayed_sources(4), ghzsim._head_vectors(3)):
             with pytest.raises(ValueError):
                 table[0] = 0
 

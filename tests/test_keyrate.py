@@ -16,7 +16,6 @@ from qcka_cad.keyrate import (
     leak_ec,
     min_entropy_bound,
     optimize_m,
-    pa_output_length_check,
 )
 from qcka_cad.protosim import NoiseModel, ProtocolParams, analytic_pa, run_trial
 from qcka_cad.sampling import delta_from_epsilon
@@ -318,31 +317,3 @@ class TestOptimizeM:
             m = max(1, int(500_000 * frac))
             report = key_length(ProtocolParams(2, 1_000_000, m, 1e-36), noise)
             assert best.rate >= report.rate * (1.0 - 1e-6)
-
-
-class TestPaOutputLengthCheck:
-    def test_vacuous_at_full_length(self):
-        assert pa_output_length_check(100.0, 100.0, 1e-6) == pytest.approx(
-            1.0 + 2e-6, rel=1e-12
-        )
-
-    def test_two_log_margin_gives_three_epsilon(self):
-        eps = 1e-9
-        hmin = 500.0
-        ell = hmin - 2 * math.log2(1 / eps)
-        assert pa_output_length_check(hmin, ell, eps) == pytest.approx(3 * eps, rel=1e-9)
-
-    def test_zero_length(self):
-        value = pa_output_length_check(100.0, 0.0, 1e-36)
-        assert value == pytest.approx(2.0**-50 + 2e-36, rel=1e-12)
-
-    def test_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            pa_output_length_check(100.0, -1.0, 1e-6)
-
-    def test_positive_rate_reports_meet_target(self):
-        for bobs, q, qz in ((1, 0.02, (0.02,)), (2, 0.1, (0.1, 0.025))):
-            _, report = optimize_m(bobs, 5_000_000, 1e-36, NoiseModel(q, qz))
-            assert report.rate > 0.0
-            bound = pa_output_length_check(report.hmin, report.ell, report.epsilon)
-            assert bound <= report.epsilon_pa
