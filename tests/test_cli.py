@@ -86,6 +86,97 @@ GOLDEN_SELFTEST_SEED_8_QUICK_JSON = """\
 """
 
 
+# `rate` and `sweep-n` stdout, byte for byte: the README examples, a fixed
+# test size under the independent error formula, and a zero-rate run.
+GOLDEN_RATE_README_CSV = """\
+p,signals,half_signals,m,n,epsilon,q,qz,error_formula,delta,qx,pa,n_a,hmin,leak_ec,ell,rate,epsilon_prime,epsilon_fail,epsilon_pa,flags
+2,10000000,5000000,731304,4268696,1e-36,0.1,"0.1,0.025",conservative,0.015087983446,0.18,0.780025,3329690,627832.655986,329616.125553,297977.35161,0.029797735161,2e-12,2e-12,2e-12,
+"""
+
+GOLDEN_RATE_README_JSON = """\
+{
+  "p": 2,
+  "signals": 10000000,
+  "half_signals": 5000000,
+  "m": 731304,
+  "n": 4268696,
+  "epsilon": 1e-36,
+  "q": 0.1,
+  "qz": [
+    0.1,
+    0.025
+  ],
+  "error_formula": "conservative",
+  "delta": 0.015087983446014228,
+  "qx": 0.18000000000000002,
+  "pa": 0.780025,
+  "n_a": 3329690,
+  "hmin": 627832.6559859458,
+  "leak_ec": 329616.125552812,
+  "ell": 297977.35161030194,
+  "rate": 0.029797735161030195,
+  "epsilon_prime": 2e-12,
+  "epsilon_fail": 2e-12,
+  "epsilon_pa": 2e-12,
+  "flags": ""
+}
+"""
+
+GOLDEN_SWEEP_N_README_CSV = """\
+p,signals,half_signals,m,n,epsilon,q,qz,error_formula,delta,qx,pa,n_a,hmin,leak_ec,ell,rate,epsilon_prime,epsilon_fail,epsilon_pa,flags
+2,100000,50000,278,49722,1e-36,0.1,"0.1,0.025",conservative,0.773867083393,0.18,0.780025,38784,0,3959.51909547,-4198.6979183,0,2e-12,2e-12,2e-12,no positive rate
+2,135936,67968,329,67639,1e-36,0.1,"0.1,0.025",conservative,0.711358503042,0.18,0.780025,52760,0,5342.53542345,-5581.71424629,0,2e-12,2e-12,2e-12,no positive rate
+2,184784,92392,38954,53438,1e-36,0.1,"0.1,0.025",conservative,0.0653745567104,0.18,0.780025,41683,4235.77203999,4246.39404788,-249.80083072,0,2e-12,2e-12,2e-12,
+2,251188,125594,62776,62818,1e-36,0.1,"0.1,0.025",conservative,0.0514975685741,0.18,0.780025,49000,6011.37089905,4970.45890705,801.733169166,0.00319176540745,2e-12,2e-12,2e-12,
+2,341454,170727,85238,85489,1e-36,0.1,"0.1,0.025",conservative,0.0441942740843,0.18,0.780025,66684,8978.21573188,6720.40601238,2018.63089667,0.00591186776747,2e-12,2e-12,2e-12,
+2,464158,232079,104117,127962,1e-36,0.1,"0.1,0.025",conservative,0.0399872128867,0.18,0.780025,99814,14154.1413435,9998.83553055,3916.12699012,0.00843705589503,2e-12,2e-12,2e-12,
+2,630958,315479,125592,189887,1e-36,0.1,"0.1,0.025",conservative,0.0364083061891,0.18,0.780025,148117,21930.9610649,14778.7323315,6913.04991059,0.0109564343595,2e-12,2e-12,2e-12,
+2,857696,428848,151056,277792,1e-36,0.1,"0.1,0.025",conservative,0.0331980144046,0.18,0.780025,216685,33328.1626254,21563.9830168,11525.0007858,0.013437162801,2e-12,2e-12,2e-12,
+2,1165914,582957,183723,399234,1e-36,0.1,"0.1,0.025",conservative,0.0301022575572,0.18,0.780025,311413,49659.6556965,30937.9362736,18482.5406001,0.0158524047229,2e-12,2e-12,2e-12,
+2,1584894,792447,223221,569226,1e-36,0.1,"0.1,0.025",conservative,0.027309459816,0.18,0.780025,444011,73114.0103658,44059.3729548,28815.4585882,0.018181315967,2e-12,2e-12,2e-12,
+2,2154434,1077217,270933,806284,1e-36,0.1,"0.1,0.025",conservative,0.0247884594253,0.18,0.780025,628922,106566.897045,62357.5220836,43970.1961387,0.0204091636776,2e-12,2e-12,2e-12,
+2,2928644,1464322,328828,1135494,1e-36,0.1,"0.1,0.025",conservative,0.0225006978384,0.18,0.780025,885714,153977.773674,87768.7648494,65969.8300023,0.022525725217,2e-12,2e-12,2e-12,
+2,3981072,1990536,402231,1588305,1e-36,0.1,"0.1,0.025",conservative,0.0203442898786,0.18,0.780025,1238918,220594.959739,122720.603652,97635.177264,0.0245248458867,2e-12,2e-12,2e-12,
+2,5411696,2705848,489763,2216085,1e-36,0.1,"0.1,0.025",conservative,0.0184368728567,0.18,0.780025,1728602,314303.506981,171178.028348,142886.29981,0.0264032384321,2e-12,2e-12,2e-12,
+2,7356422,3678211,598791,3079420,1e-36,0.1,"0.1,0.025",conservative,0.0166741065541,0.18,0.780025,2402025,445216.578912,237817.625131,207159.774958,0.0281603984869,2e-12,2e-12,2e-12,
+2,10000000,5000000,731304,4268696,1e-36,0.1,"0.1,0.025",conservative,0.015087983446,0.18,0.780025,3329690,627832.655986,329616.125553,297977.35161,0.029797735161,2e-12,2e-12,2e-12,
+"""
+
+GOLDEN_RATE_FIXED_M_INDEPENDENT_JSON = """\
+{
+  "p": 2,
+  "signals": 300000,
+  "half_signals": 150000,
+  "m": 50000,
+  "n": 100000,
+  "epsilon": 1e-36,
+  "q": 0.1,
+  "qz": [
+    0.1,
+    0.025
+  ],
+  "error_formula": "independent",
+  "delta": 0.05770294508944633,
+  "qx": 0.18000000000000002,
+  "pa": 0.780025,
+  "n_a": 78002,
+  "hmin": 8813.636326902835,
+  "leak_ec": 7533.1246082512425,
+  "ell": 1041.3328958197026,
+  "rate": 0.0034711096527323417,
+  "epsilon_prime": 2e-12,
+  "epsilon_fail": 2e-12,
+  "epsilon_pa": 2e-12,
+  "flags": ""
+}
+"""
+
+GOLDEN_RATE_ZERO_CSV = """\
+p,signals,half_signals,m,n,epsilon,q,qz,error_formula,delta,qx,pa,n_a,hmin,leak_ec,ell,rate,epsilon_prime,epsilon_fail,epsilon_pa,flags
+1,10000,5000,99,4901,1e-36,0.2,0.2,conservative,1.29702793746,0.32,0.68,3333,0,1196.33835542,-1435.51717825,0,2e-12,2e-12,2e-12,no positive rate
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -313,6 +404,25 @@ class TestRate:
                                "--qz", "0.02", "--config", str(cfg))
         record = dict(zip(REPORT_FIELDS, next(csv.reader(io.StringIO(out.split(chr(10))[1])))))
         assert (code, record["p"], record["qz"]) == (EXIT_OK, "3", "0.02,0.02,0.02")
+
+
+README_RATE_ARGV = ("rate", "--p", "2", "--signals", "1e7", "--q", "0.1", "--qz", "0.1,0.025")
+
+
+class TestRatePathStdoutIsPinned:
+    @pytest.mark.parametrize("argv, code, stdout", [
+        (README_RATE_ARGV, EXIT_OK, GOLDEN_RATE_README_CSV),
+        (README_RATE_ARGV + ("--format", "json"), EXIT_OK, GOLDEN_RATE_README_JSON),
+        (("sweep-n", "--p", "2", "--signals-min", "1e5", "--signals-max", "1e7",
+          "--q", "0.1", "--qz", "0.1,0.025"), EXIT_OK, GOLDEN_SWEEP_N_README_CSV),
+        (("rate", "--p", "2", "--signals", "3e5", "--m", "50000", "--q", "0.1",
+          "--qz", "0.1,0.025", "--error-formula", "independent", "--format", "json"),
+         EXIT_OK, GOLDEN_RATE_FIXED_M_INDEPENDENT_JSON),
+        (("rate", "--p", "1", "--signals", "1e4", "--q", "0.2", "--qz", "0.2"),
+         EXIT_ZERO_RATE, GOLDEN_RATE_ZERO_CSV),
+    ], ids=["rate-csv", "rate-json", "sweep-n-csv", "fixed-m-independent-json", "zero-rate-csv"])
+    def test_stdout_and_exit_code(self, capsys, argv, code, stdout):
+        assert run_cli(capsys, *argv) == (code, stdout, "")
 
 
 class TestSweepQ:
