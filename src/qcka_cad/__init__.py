@@ -45,9 +45,6 @@ _EXPORTS = {
     "run_trial": "protosim",
     "aggregate": "protosim",
     "KeyRateReport": "keyrate",
-    "epsilon_constants": "keyrate",
-    "min_entropy_bound": "keyrate",
-    "leak_ec": "keyrate",
     "key_length": "keyrate",
     "optimize_m": "keyrate",
 }

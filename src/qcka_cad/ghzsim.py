@@ -89,7 +89,7 @@ def _qubits(size: int) -> int:
 def _check_norms(norm_sq) -> None:
     """Raise unless every squared norm is 1 within ``_NORM_ATOL``."""
     norm_sq = np.atleast_1d(norm_sq)
-    off = norm_sq[np.abs(norm_sq - 1.0) > _NORM_ATOL]
+    off = norm_sq[~(np.abs(norm_sq - 1.0) <= _NORM_ATOL)]  # NaN is off too
     if off.size:
         raise ValueError(f"state not normalized: |amps|^2 = {float(off[0])!r}")
 

@@ -6,13 +6,19 @@ The extractable key length for one execution is
 
 where n_a is the number of blocks surviving the parity sieve, QX the
 X-basis test statistic, delta the sampling deviation implied by the
-security parameter eps and the test size, and leak_EC the error
-correction disclosure.  The rate divides by the 2N signals consumed.
+security parameter eps and the test size, and
+
+    leak_EC = n_a * max_j h(e_j) + log2(2p/eps)
+
+the error correction disclosure, with e_j party j's post-sieve error
+rate (:func:`qcka_cad.model.postcad_error_rates`).  The rate divides by
+the 2N signals consumed.
 
 All entropies and logarithms are base 2.  The argument of the binary
 entropy in the min-entropy bound is clamped at 1/2: past that point the
 counting bound behind it is vacuous, so the bound floors at zero rather
-than letting h() decrease again.
+than letting h() decrease again.  The bound is 0 when no block was
+accepted, and each e_j is clamped at 1/2 as well.
 
 Failure bookkeeping for security parameter eps:
 
@@ -20,9 +26,12 @@ Failure bookkeeping for security parameter eps:
     eps_fail  = 2*eps^(1/3)           (probability the bound fails)
     eps_PA    = 9*eps + 2*eps^(1/3)   (distance of the extracted key)
 
-The engine evaluates the closed forms of :mod:`qcka_cad.model` and
-imports only the standard library, so the ``rate`` and ``sweep-*``
-commands start without loading numpy.
+:func:`key_length` evaluates all of this in one body; the min-entropy
+bound, leak_EC and the three eps constants are fields of its
+:class:`KeyRateReport` (``hmin``, ``leak_ec``, ``epsilon_prime``,
+``epsilon_fail``, ``epsilon_pa``).  The engine evaluates the closed
+forms of :mod:`qcka_cad.model` and imports only the standard library, so
+the ``rate`` and ``sweep-*`` commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -35,14 +44,7 @@ from .bitcore import binary_entropy
 from .model import NoiseModel, ProtocolParams, analytic_pa, analytic_qx, postcad_error_rates
 from .sampling import delta_from_epsilon
 
-__all__ = [
-    "KeyRateReport",
-    "epsilon_constants",
-    "min_entropy_bound",
-    "leak_ec",
-    "key_length",
-    "optimize_m",
-]
+__all__ = ["KeyRateReport", "key_length", "optimize_m"]
 
 
 @functools.lru_cache(maxsize=256)
@@ -73,53 +75,6 @@ def _cbrt(x: float) -> float:
             y = above
         else:
             return math.ldexp(y, shift)  # the root is a normal float: exact
-
-
-def epsilon_constants(epsilon: float) -> tuple:
-    """(eps_prime, eps_fail, eps_PA) for a security parameter eps."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    root = _cbrt(epsilon)
-    return 4.0 * epsilon + 2.0 * root, 2.0 * root, 9.0 * epsilon + 2.0 * root
-
-
-def min_entropy_bound(n: int, n_a: int, qx: float, delta: float) -> float:
-    """Smooth min-entropy bound n_a * (1 - h[(n/n_a)(qx + delta)]).
-
-    Returns 0 when no block was accepted or when the clamped entropy
-    argument reaches 1/2.
-    """
-    if n_a < 0 or n_a > n:
-        raise ValueError("need 0 <= n_a <= n")
-    if qx < 0.0 or delta < 0.0:
-        raise ValueError("qx and delta must be nonnegative")
-    if n_a == 0:
-        return 0.0
-    arg = min(0.5, (n / n_a) * (qx + delta))
-    return n_a * (1.0 - binary_entropy(arg))
-
-
-def leak_ec(
-    n_a: int,
-    bobs: int,
-    z_errors,
-    pa: float,
-    epsilon: float,
-    error_formula: str = "conservative",
-) -> float:
-    """Error-correction disclosure n_a * max_j h(e_j) + log2(2p/eps).
-
-    ``e_j`` is the post-sieve error rate of party j, per
-    :func:`qcka_cad.model.postcad_error_rates`; rates are clamped to
-    [0, 1/2] before the entropy evaluation.
-    """
-    if pa <= 0.0:
-        raise ValueError("no blocks accepted (pa = 0)")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    rates = postcad_error_rates(z_errors, error_formula)
-    worst = max(min(0.5, e) for e in rates)
-    return n_a * binary_entropy(worst) + math.log2(2.0 * bobs) - math.log2(epsilon)
 
 
 @dataclass(frozen=True)
@@ -164,13 +119,14 @@ def key_length(
     With ``n_a`` and ``qx`` omitted, their analytic expectations under the
     i.i.d. noise model are used: n_a = round(pa * n) and qx = 2Q(1-Q).
     Passing realized values from a simulated trial evaluates the same
-    formula on observed statistics.
+    formula on observed statistics; they must satisfy 0 <= n_a <= n and
+    qx >= 0.
     """
     if len(noise.z_errors) != params.bobs:
         raise ValueError(
             f"noise model has {len(noise.z_errors)} Z rates for {params.bobs} parties"
         )
-    n = params.key_blocks
+    n, eps = params.key_blocks, params.epsilon
     pa = analytic_pa(noise.z_errors)
     if qx is None:
         qx = analytic_qx(noise.x_error)
@@ -178,13 +134,16 @@ def key_length(
         n_a = min(round(pa * n), n)  # pa * n rounds up past n once n > 2**53
     if not 0 <= n_a <= n:
         raise ValueError("need 0 <= n_a <= n")
+    if not qx >= 0.0:  # NaN too
+        raise ValueError("qx must be nonnegative")
 
-    delta = delta_from_epsilon(params.half_signals, params.test_size, params.epsilon)
-    hmin = min_entropy_bound(n, n_a, qx, delta)
-    leak = leak_ec(n_a, params.bobs, noise.z_errors, pa, params.epsilon, error_formula)
-    ell = hmin - leak - 2.0 * math.log2(1.0 / params.epsilon)
+    delta = delta_from_epsilon(params.half_signals, params.test_size, eps)
+    hmin = n_a * (1.0 - binary_entropy(min(0.5, (n / n_a) * (qx + delta)))) if n_a else 0.0
+    worst = max(min(0.5, e) for e in postcad_error_rates(noise.z_errors, error_formula))
+    leak = n_a * binary_entropy(worst) + math.log2(2.0 * params.bobs) - math.log2(eps)
+    ell = hmin - leak - 2.0 * math.log2(1.0 / eps)
     rate = ell / params.total_signals if ell > 0.0 else 0.0
-    eps_prime, eps_fail, eps_pa = epsilon_constants(params.epsilon)
+    root = _cbrt(eps)
     flags = ("no accepted blocks",) if n_a == 0 else ()
 
     return KeyRateReport(
@@ -192,7 +151,7 @@ def key_length(
         half_signals=params.half_signals,
         test_size=params.test_size,
         key_blocks=n,
-        epsilon=params.epsilon,
+        epsilon=eps,
         x_error=noise.x_error,
         z_errors=noise.z_errors,
         error_formula=error_formula,
@@ -204,9 +163,9 @@ def key_length(
         leak_ec=leak,
         ell=ell,
         rate=rate,
-        epsilon_prime=eps_prime,
-        epsilon_fail=eps_fail,
-        epsilon_pa=eps_pa,
+        epsilon_prime=4.0 * eps + 2.0 * root,
+        epsilon_fail=2.0 * root,
+        epsilon_pa=9.0 * eps + 2.0 * root,
         flags=flags,
     )
 
@@ -227,10 +186,6 @@ def geometric_grid(lo: float, hi: float, num: int) -> list:
     points = [10.0 ** (k * step + log_lo) for k in range(num)]
     points[0], points[-1] = float(lo), float(hi)
     return points
-
-
-def _with_flag(report: KeyRateReport, flag: str) -> KeyRateReport:
-    return replace(report, flags=report.flags + (flag,))
 
 
 def optimize_m(
@@ -268,7 +223,7 @@ def optimize_m(
 
     if all(cache[m].rate == 0.0 for m in grid):
         mid = grid[len(grid) // 2]
-        return mid, _with_flag(cache[mid], "no positive rate")
+        return mid, replace(cache[mid], flags=cache[mid].flags + ("no positive rate",))
 
     best_idx = max(range(len(grid)), key=lambda i: (cache[grid[i]].rate, -grid[i]))
     lo = grid[best_idx - 1] if best_idx > 0 else 1

@@ -105,10 +105,13 @@ def postcad_error_rates(z_errors, formula: str = "conservative") -> tuple:
     full acceptance probability instead, QZ_j^2 / p_a, which is larger
     whenever there are two or more parties with noise; the published
     evaluation uses this variant.  The two coincide for a single party.
+    Both are undefined, and rejected, when p_a is 0: no block is kept.
     """
     z_errors = tuple(z_errors)
+    pa = analytic_pa(z_errors)
+    if pa == 0.0:  # the product can underflow from 1075 parties on
+        raise ValueError("no blocks accepted (pa = 0)")
     if formula == "conservative":
-        pa = analytic_pa(z_errors)
         return tuple(z * z / pa for z in z_errors)
     if formula == "independent":
         return tuple(z * z / (z * z + (1.0 - z) * (1.0 - z)) for z in z_errors)

@@ -93,7 +93,7 @@ class TestLazyModules:
         assert (state["result"], state["stdout"]) == warm_stdout(argv)
 
     def test_exports(self):
-        assert len(qcka_cad.__all__) <= 32
+        assert len(qcka_cad.__all__) <= 26
         assert len(set(qcka_cad.__all__)) == len(qcka_cad.__all__)
         for name in qcka_cad.__all__:
             value = getattr(qcka_cad, name)

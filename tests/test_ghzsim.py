@@ -424,6 +424,17 @@ class TestBulkInputs:
         with pytest.raises(ValueError, match="6 qubits, sieve layout needs 4"):
             cad_delayed_measurement_distances(1, 1, np.ones((2, 64)) / 8.0)
 
+    # A NaN squared norm compares False with any tolerance; it is no state.
+    @pytest.mark.parametrize("call", [
+        lambda: StateVector([math.nan, 0.0]),
+        lambda: cad_delayed_measurement_distances(1, 1, np.full((1, 16), math.nan)),
+        lambda: ghzsim.x_basis_parity_distributions([[math.nan, 0]]),
+        lambda: ghzsim.hadamard_expansion_checks(1, [0], [0], [[math.nan, 0, 0, 0]]),
+    ], ids=["StateVector", "sieve-distances", "parity-distributions", "expansion-checks"])
+    def test_nan_amplitudes_rejected(self, call):
+        with pytest.raises(ValueError, match="state not normalized"):
+            call()
+
     @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
     def test_index_parity_sets_match_word_sets(self, n, p):
         rng = np.random.default_rng(7 * n + p)

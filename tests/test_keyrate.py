@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from qcka_cad.bitcore import binary_entropy
-from qcka_cad.keyrate import (
-    _cbrt,
-    epsilon_constants,
-    geometric_grid,
-    key_length,
-    leak_ec,
-    min_entropy_bound,
-    optimize_m,
-)
+from qcka_cad.keyrate import _cbrt, geometric_grid, key_length, optimize_m
 from qcka_cad.protosim import NoiseModel, ProtocolParams, analytic_pa, run_trial
 from qcka_cad.sampling import delta_from_epsilon
 
@@ -26,26 +18,29 @@ BOUND_80_REF = 61.543203544681886
 H_E_IND_REF = 0.09501724567107634
 
 
+def eps_report(epsilon: float):
+    return key_length(ProtocolParams(1, 10**6, 10**5, epsilon), NoiseModel(0.02, (0.02,)))
+
+
 class TestEpsilonConstants:
     def test_symbolic_relations(self):
         for eps in (1e-6, 1e-12, 1e-36):
-            prime, fail, pa = epsilon_constants(eps)
+            report = eps_report(eps)
             root = float(np.cbrt(eps))
-            assert prime == 4 * eps + 2 * root
-            assert fail == 2 * root
-            assert pa == 9 * eps + 2 * root
+            assert report.epsilon_prime == 4 * eps + 2 * root
+            assert report.epsilon_fail == 2 * root
+            assert report.epsilon_pa == 9 * eps + 2 * root
 
     def test_exact_at_production_epsilon(self):
-        prime, fail, pa = epsilon_constants(1e-36)
-        assert fail == 2e-12
-        assert abs(pa - 2e-12) < 1e-20
-        assert abs(prime - 2e-12) < 1e-20
+        report = eps_report(1e-36)
+        assert report.epsilon_fail == 2e-12
+        assert abs(report.epsilon_pa - 2e-12) < 1e-20
+        assert abs(report.epsilon_prime - 2e-12) < 1e-20
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            epsilon_constants(0.0)
-        with pytest.raises(ValueError):
-            epsilon_constants(1.0)
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="epsilon"):
+                eps_report(eps)
 
 
 def decimal_cbrt(x: float) -> float:
@@ -75,14 +70,32 @@ class TestCubeRoot:
             assert _cbrt(x) == float(np.cbrt(x))
 
 
-def numpy_rounded_grid(m_max: int) -> list:
-    """numpy's 64-point test-size grid, rounded; clipping and de-duplicating it
-    to [1, m_max] gives the grid ``optimize_m`` searched with numpy."""
-    return np.round(np.geomspace(1, m_max, num=64)).tolist()
+def numpy_geomspace_rows(m_maxes: list) -> np.ndarray:
+    """``np.geomspace(1, m_max, 64)`` for every m_max at once, computed the
+    way numpy does it for one scalar stop: ``k * (log10(stop) / 63)`` with
+    the last point set to ``log10(stop)``, one ``power(10, .)`` over the
+    C-contiguous array, and the ends set to 1 and the stop."""
+    stops = np.asarray(m_maxes, dtype=float)
+    log_stops = np.log10(stops)
+    exponents = np.arange(64.0) * (log_stops / 63)[:, None]
+    exponents[:, -1] = log_stops
+    rows = np.power(10, np.ascontiguousarray(exponents))
+    rows[:, 0], rows[:, -1] = 1.0, stops
+    return rows
 
 
-def stdlib_rounded_grid(m_max: int) -> list:
-    return [round(v) for v in geometric_grid(1, m_max, 64)]
+def assert_test_size_grids_match_numpy(m_maxes: list) -> None:
+    """Rounded, ``geometric_grid(1, m_max, 64)`` equals numpy's 64-point
+    test-size grid for every m_max; clipping and de-duplicating it to
+    [1, m_max] gives the grid ``optimize_m`` searched with numpy."""
+    reference = numpy_geomspace_rows(m_maxes)
+    # The bulk reference is per-call np.geomspace, bit for bit.
+    for m_max, row in zip(m_maxes[::50], reference[::50]):
+        assert row.tobytes() == np.geomspace(1, m_max, num=64).tobytes(), m_max
+    stdlib = np.array([geometric_grid(1, m_max, 64) for m_max in m_maxes])
+    # np.round, like round(), rounds half to even.
+    mismatched = (np.round(stdlib) != np.round(reference)).any(axis=1)
+    assert [m_maxes[i] for i in np.flatnonzero(mismatched)] == []
 
 
 class TestGeometricGrid:
@@ -101,15 +114,13 @@ class TestGeometricGrid:
                        for v in geometric_grid(1, m_max, 64)}) == expected
 
     def test_every_small_test_size_grid_matches_numpy(self):
-        for m_max in range(1, 20_001):
-            assert stdlib_rounded_grid(m_max) == numpy_rounded_grid(m_max), m_max
+        assert_test_size_grids_match_numpy(list(range(1, 20_001)))
 
     def test_log_uniform_test_size_grids_match_numpy(self):
         # Up to 2.5e11 test blocks: rate requests up to 1e12 signals.
         rng = random.Random(6)
-        for _ in range(100_000):
-            m_max = round(math.exp(rng.uniform(0.0, math.log(2.5e11))))
-            assert stdlib_rounded_grid(m_max) == numpy_rounded_grid(m_max), m_max
+        assert_test_size_grids_match_numpy(
+            [round(math.exp(rng.uniform(0.0, math.log(2.5e11)))) for _ in range(100_000)])
 
     def test_sweep_n_totals_match_numpy(self):
         # sweep-n's rounding of the grid to even totals, over the
@@ -127,53 +138,88 @@ class TestGeometricGrid:
                 np.geomspace(lo, hi, num=points)), (lo, hi, points)
 
 
+# n = 6e6 key blocks out of N = 1e7, so delta at eps = 1e-6 is well below
+# the 0.01 of the references; qx is chosen to make qx + delta hit them.
+N_REF, M_REF, EPS_REF = 10**7, 4 * 10**6, 1e-6
+SCALE = (N_REF - M_REF) // 100
+
+
+def ref_report(n_a: int, qx_plus_delta: float):
+    params = ProtocolParams(1, N_REF, M_REF, EPS_REF)
+    delta = delta_from_epsilon(N_REF, M_REF, EPS_REF)
+    return key_length(params, NoiseModel(0.0, (0.0,)), n_a=n_a, qx=qx_plus_delta - delta)
+
+
 class TestMinEntropyBound:
     def test_perfect_channel(self):
-        assert min_entropy_bound(100, 100, 0.0, 0.0) == 100.0
+        # qx = 0 and n_a = n leave only the sampling deviation.
+        params = ProtocolParams(1, N_REF, M_REF, EPS_REF)
+        report = key_length(params, NoiseModel(0.0, (0.0,)))
+        assert report.accepted == report.key_blocks and report.qx == 0.0
+        assert report.hmin == report.key_blocks * (1.0 - binary_entropy(report.delta))
 
     def test_reference_point(self):
-        value = min_entropy_bound(100, 80, 0.02, 0.01)
+        # n = 100, n_a = 80, qx + delta = 0.03, scaled by SCALE.
+        value = ref_report(80 * SCALE, 0.03).hmin / SCALE
         assert value == pytest.approx(BOUND_80_REF, rel=1e-12)
         assert value == pytest.approx(61.54, abs=0.01)
 
     def test_clamped_argument_gives_zero(self):
         # (100/50)*0.3 = 0.6 clamps to 1/2, where h = 1.
-        assert min_entropy_bound(100, 50, 0.3, 0.0) == 0.0
+        assert ref_report(50 * SCALE, 0.3).hmin == 0.0
 
     def test_no_accepted_blocks(self):
-        assert min_entropy_bound(100, 0, 0.1, 0.01) == 0.0
+        report = ref_report(0, 0.11)
+        assert report.hmin == 0.0
+        assert report.flags == ("no accepted blocks",)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            min_entropy_bound(100, 101, 0.1, 0.0)
-        with pytest.raises(ValueError):
-            min_entropy_bound(100, 50, -0.1, 0.0)
+        with pytest.raises(ValueError, match="n_a"):
+            ref_report(100 * SCALE + 1, 0.1)
+        with pytest.raises(ValueError, match="n_a"):
+            ref_report(-1, 0.1)
+        for qx_plus_delta in (-0.1, math.nan):
+            with pytest.raises(ValueError, match="qx must be nonnegative"):
+                ref_report(50 * SCALE, qx_plus_delta)
 
 
 class TestLeakEc:
     def test_noiseless_is_log_term_only(self):
         for p, eps in ((1, 1e-36), (3, 1e-12)):
-            value = leak_ec(1000, p, (0.0,) * p, 1.0, eps)
-            assert value == pytest.approx(math.log2(2 * p / eps), rel=1e-12)
+            params = ProtocolParams(p, 10**6, 10**5, eps)
+            report = key_length(params, NoiseModel(0.0, (0.0,) * p), n_a=1000)
+            assert report.leak_ec == pytest.approx(math.log2(2 * p / eps), rel=1e-12)
 
     def test_single_party_reference(self):
-        value = leak_ec(1, 1, (0.1,), 0.82, 1e-36)
+        params = ProtocolParams(1, 10**6, 10**5, 1e-36)
+        report = key_length(params, NoiseModel(0.1, (0.1,)), n_a=1)
+        assert report.pa == pytest.approx(0.82, rel=1e-15)
         expected = H_E_IND_REF + math.log2(2.0) - math.log2(1e-36)
-        assert value == pytest.approx(expected, rel=1e-10)
+        assert report.leak_ec == pytest.approx(expected, rel=1e-10)
         assert H_E_IND_REF == pytest.approx(0.0953, abs=5e-4)
 
     def test_two_party_formula_split(self):
         pa = analytic_pa((0.1, 0.025))
-        cons = leak_ec(1000, 2, (0.1, 0.025), pa, 1e-36, "conservative")
-        ind = leak_ec(1000, 2, (0.1, 0.025), pa, 1e-36, "independent")
+        params = ProtocolParams(2, 10**6, 10**5, 1e-36)
+        cons, ind = (key_length(params, NoiseModel(0.1, (0.1, 0.025)), n_a=1000,
+                                error_formula=formula).leak_ec
+                     for formula in ("conservative", "independent"))
         assert cons > ind  # pooled error rate is the larger of the two
         assert cons - ind == pytest.approx(
             1000 * (binary_entropy(0.01 / pa) - binary_entropy(0.01 / 0.82)), rel=1e-9
         )
 
     def test_zero_acceptance_rejected(self):
-        with pytest.raises(ValueError, match="accepted"):
-            leak_ec(10, 1, (0.1,), 0.0, 1e-36)
+        # 0.5**1075 underflows: no block is accepted under either formula.
+        p = 1075
+        noise = NoiseModel(0.1, (0.5,) * p)
+        assert analytic_pa(noise.z_errors) == 0.0
+        for formula in ("conservative", "independent"):
+            with pytest.raises(ValueError, match=r"no blocks accepted \(pa = 0\)"):
+                key_length(ProtocolParams(p, 10**6, 10**5, 1e-36), noise,
+                           error_formula=formula)
+            with pytest.raises(ValueError, match=r"no blocks accepted \(pa = 0\)"):
+                optimize_m(p, 10**6, 1e-36, noise, error_formula=formula)
 
 
 class TestKeyLength:

@@ -111,6 +111,15 @@ class TestAnalytics:
         with pytest.raises(ValueError, match="formula"):
             postcad_error_rates((0.1,), "bogus")
 
+    def test_postcad_error_rates_need_an_accepted_block(self):
+        # 0.5**1075 underflows to 0: the conservative rates would divide by it.
+        z_errors = (0.5,) * 1075
+        assert analytic_pa(z_errors) == 0.0
+        for formula in ("conservative", "independent"):
+            with pytest.raises(ValueError, match=r"^no blocks accepted \(pa = 0\)$"):
+                postcad_error_rates(z_errors, formula)
+        assert postcad_error_rates((0.5,) * 1074, "conservative")[0] > 0.0
+
 
 class TestValidation:
     def test_noise_model(self):
