@@ -15,52 +15,48 @@ Four desk-scale checks, all by exact marginalization (no sampling):
      first-qubit measurement.
 """
 
-import itertools
-
 import numpy as np
 
-from qcka_cad import (
-    cad_delayed_measurement_equivalence,
-    compose,
-    ghz_state,
-    hadamard_expansion_check,
-    key_min_entropy_check,
-    random_pure_state,
-    x_basis_parity_distribution,
+from qcka_cad.ghzsim import (
+    cad_delayed_measurement_distances,
+    ghz_states,
+    hadamard_expansion_checks,
+    key_min_entropy_checks,
+    random_pure_states,
+    x_basis_parity_distributions,
 )
+
+
+def all_labels(p):
+    """Every (word index, phase bit) label of a (p+1)-qubit GHZ block."""
+    words = np.repeat(np.arange(1 << p), 2)
+    return words, np.tile([0, 1], 1 << p)
 
 
 def main():
     print("1. Hadamard-basis parity equals the phase bit")
     for p in (1, 2, 3):
-        worst = 0.0
-        for bits in itertools.product((0, 1), repeat=p):
-            for y in (0, 1):
-                dist = x_basis_parity_distribution(ghz_state(p, bits, y))
-                worst = max(worst, abs(dist[y] - 1.0))
+        words, ys = all_labels(p)
+        dist = x_basis_parity_distributions(ghz_states(p, words, ys))
+        worst = np.abs(dist[np.arange(ys.size), ys] - 1.0).max()
         print(f"   p={p}: exhaustive over all (x, y), max deviation {worst:.2e}")
 
     print()
     print("2. all-Hadamard expansion structure")
-    checked = sum(
-        hadamard_expansion_check(p, bits, y)
-        for p in (1, 2, 3)
-        for bits in itertools.product((0, 1), repeat=p)
-        for y in (0, 1)
-    )
+    checked = sum(int(hadamard_expansion_checks(p, *all_labels(p)).sum()) for p in (1, 2, 3))
     print(f"   {checked} GHZ states verified against the explicit expansion")
 
     print()
     print("3. parity sieve: direct vs delayed measurement order")
-    clean = compose(ghz_state(1, "0", 0), ghz_state(1, "0", 0))
-    print(f"   ideal round:      TV = {cad_delayed_measurement_equivalence(1, 1, clean):.1e}")
-    crossed = compose(ghz_state(1, "1", 0), ghz_state(1, "0", 0))
-    print(f"   crossed round:    TV = {cad_delayed_measurement_equivalence(1, 1, crossed):.1e}")
+    zero, one = ghz_states(1, [0, 1], [0, 0])
+    clean, crossed = cad_delayed_measurement_distances(
+        1, 1, np.stack([np.kron(zero, zero), np.kron(one, zero)]))
+    print(f"   ideal round:      TV = {clean:.1e}")
+    print(f"   crossed round:    TV = {crossed:.1e}")
     rng = np.random.default_rng(123)
-    worst = 0.0
-    for _ in range(50):
-        state = random_pure_state(8, rng)  # two rounds of a two-party sieve
-        worst = max(worst, cad_delayed_measurement_equivalence(1, 2, state))
+    # Two rounds of a two-party sieve.
+    worst = max(cad_delayed_measurement_distances(1, 2, block).max()
+                for block in random_pure_states(8, 50, rng))
     print(f"   50 random pure 8-qubit inputs: max TV = {worst:.1e}")
 
     print()
@@ -72,7 +68,7 @@ def main():
         (3, 1, ["000", "011", "101"]),
         (2, 2, ["01", "10"]),
     ):
-        hmin, bound = key_min_entropy_check(n, p, words)
+        ((hmin, bound),) = key_min_entropy_checks(n, p, [[int(w, 2) for w in words]])
         print(f"   n={n} p={p} |J|={len(set(words))}: "
               f"hmin = {hmin:.4f} >= bound = {bound:.4f}")
 

@@ -19,23 +19,9 @@ import sys
 
 __version__ = "0.1.0"
 
-# Exported name -> the submodule that defines it.
+# Exported name -> its submodule: the key-rate calculator, the simulator and
+# the types they return.  Every other name stays an attribute of its module.
 _EXPORTS = {
-    "BitString": "bitcore",
-    "binary_entropy": "bitcore",
-    "DEFAULT_QUBIT_CAP": "ghzsim",
-    "StateVector": "ghzsim",
-    "ghz_state": "ghzsim",
-    "compose": "ghzsim",
-    "random_pure_state": "ghzsim",
-    "hadamard_transform": "ghzsim",
-    "x_basis_parity_distribution": "ghzsim",
-    "hadamard_expansion_check": "ghzsim",
-    "cad_delayed_measurement_equivalence": "ghzsim",
-    "key_min_entropy_check": "ghzsim",
-    "sampling_failure_log": "sampling",
-    "delta_from_epsilon": "sampling",
-    "empirical_sampling_failure": "sampling",
     "NoiseModel": "model",
     "ProtocolParams": "model",
     "analytic_qx": "model",

@@ -329,7 +329,7 @@ def cmd_rate(args) -> int:
 
 
 def cmd_sweep_q(args) -> int:
-    if not (args.q_step > 0 and args.q_min <= args.q_max):
+    if not (0 < args.q_step < math.inf and args.q_min <= args.q_max):
         raise _CliError("need q-min <= q-max and a positive q-step")
     steps = (args.q_max - args.q_min) / args.q_step + 1e-9
     if not steps < MAX_SWEEP_POINTS:

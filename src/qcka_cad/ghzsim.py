@@ -20,10 +20,11 @@ Everything is computed by exact marginalization of squared amplitudes,
 never by sampling, so the checks are deterministic.  Every kernel takes a
 batch in one format: states as the rows of a 2-D amplitude array, each
 checked as the constructor checks one state, GHZ labels as integer word
-indices and phase bits, parity sets as a sequence of word sets.  Each
-input gets the same bits as a batch of one, which is what the
-single-input functions are; they convert a StateVector or a word spelled
-as bits.  ``ghz_states`` builds a stacked family of GHZ basis states and
+indices (first bit most significant; never spelled as bits) and phase
+bits, parity sets as a sequence of sets of word indices.  Each input gets
+the same bits as a batch of one, which is what the single-input
+functions are; they take a StateVector in place of an amplitude row.
+``ghz_states`` builds a stacked family of GHZ basis states and
 ``random_pure_states`` draws random states in blocks, one generator call
 per block.  The sieve and min-entropy kernels slice their inputs into
 chunks whose largest temporary stays within 512 KiB.  The sieve's
@@ -45,8 +46,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .bitcore import BitString
 
 __all__ = [
     "DEFAULT_QUBIT_CAP",
@@ -122,11 +121,6 @@ class StateVector:
     def qubit_count(self) -> int:
         return self._k
 
-    def tensor(self, other: "StateVector") -> "StateVector":
-        """Tensor product, with this state's qubits first."""
-        _check_cap(self._k + other._k, f"{self._k} + {other._k} qubits")
-        return StateVector(np.kron(self._amps, other._amps))
-
     def __repr__(self) -> str:
         return f"StateVector(qubits={self._k})"
 
@@ -141,19 +135,6 @@ def _stacked(states: np.ndarray) -> np.ndarray:
     amps = states.astype(np.complex128, copy=False)
     _check_norms(np.einsum("ij,ij->i", amps.conj(), amps).real)
     return amps
-
-
-def _word_index(word, n: int) -> int:
-    """The index (first bit most significant) of an n-bit word given as its
-    index or as n bits: a string, a BitString or an iterable of 0/1 values."""
-    if isinstance(word, (int, np.integer)):
-        if not 0 <= word < 1 << n:
-            raise ValueError(f"word index {word} is not in [0, 2**{n})")
-        return int(word)
-    bits = str(word if isinstance(word, BitString) else BitString(word))
-    if len(bits) != n:
-        raise ValueError(f"expected a word of length {n}, got {len(bits)} bits")
-    return int(bits, 2)
 
 
 def _checked_labels(p: int, words, ys) -> tuple:
@@ -187,23 +168,21 @@ def ghz_states(p: int, words, ys) -> np.ndarray:
     return amps
 
 
-def ghz_state(p: int, x, y: int) -> StateVector:
+def ghz_state(p: int, x: int, y: int) -> StateVector:
     """The (p+1)-qubit GHZ basis state (|0,x> + (-1)^y |1,~x>)/sqrt(2).
 
-    ``x`` is the p-bit correlation word (or its index) on the trailing qubits
+    ``x`` is the index of the p-bit correlation word on the trailing qubits
     and ``y`` the phase bit; ``~x`` is the bitwise complement of ``x``.
     """
-    return StateVector(ghz_states(p, [_word_index(x, p)], [y])[0])
+    return StateVector(ghz_states(p, [x], [y])[0])
 
 
 def compose(*states: StateVector) -> StateVector:
     """Tensor product of several states, left to right."""
     if not states:
         raise ValueError("compose needs at least one state")
-    out = states[0]
-    for s in states[1:]:
-        out = out.tensor(s)
-    return out
+    _check_cap(sum(s.qubit_count for s in states))
+    return StateVector(functools.reduce(np.kron, [s.amplitudes for s in states]))
 
 
 def _random_block(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
@@ -296,18 +275,18 @@ def hadamard_expansion_checks(p: int, words, ys, states=None) -> np.ndarray:
     return np.isclose(_hadamard(amps), expected, atol=1e-10, rtol=0.0).all(axis=1)
 
 
-def hadamard_expansion_check(p: int, x, y: int, state: StateVector | None = None) -> bool:
+def hadamard_expansion_check(p: int, x: int, y: int, state: StateVector | None = None) -> bool:
     """Check the all-Hadamard expansion of a GHZ state.
 
-    Expands ``state`` (default: the GHZ state for ``(x, y)``) in the
-    Hadamard basis and verifies that every nonzero coefficient has
-    magnitude 2^{-p/2}, lives on outcomes whose leading bit equals ``y``
-    XOR the parity of the trailing bits, and carries sign (-1)^{c.x}
-    where c ranges over the trailing bits, every coefficient to within an
-    absolute 1e-10.
+    Expands ``state`` (default: the GHZ state of word index ``x`` and phase
+    bit ``y``) in the Hadamard basis and verifies that every nonzero
+    coefficient has magnitude 2^{-p/2}, lives on outcomes whose leading
+    bit equals ``y`` XOR the parity of the trailing bits, and carries sign
+    (-1)^{c.x} where c ranges over the trailing bits, every coefficient to
+    within an absolute 1e-10.
     """
     states = None if state is None else state.amplitudes[None]
-    return bool(hadamard_expansion_checks(p, [_word_index(x, p)], [y], states)[0])
+    return bool(hadamard_expansion_checks(p, [x], [y], states)[0])
 
 
 # The largest temporary a batched kernel builds for one chunk of inputs.
@@ -445,8 +424,12 @@ def _head_vectors(n: int) -> np.ndarray:
 
 
 def _parity_set(n: int, parity_words: Iterable) -> list:
-    """A parity-word set as sorted, distinct word indices."""
-    indices = {_word_index(w, n) for w in parity_words}
+    """A set of n-bit word indices as sorted, distinct Python ints."""
+    indices = set()
+    for w in parity_words:
+        if not isinstance(w, (int, np.integer)) or not 0 <= w < 1 << n:
+            raise ValueError(f"word index {w!r} is not an integer in [0, 2**{n})")
+        indices.add(int(w))
     if not indices:
         raise ValueError("empty parity-word set")
     return sorted(indices)
@@ -480,7 +463,7 @@ def _key_min_entropies(n: int, p: int, sets: list) -> list:
 
 
 def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
-    """:func:`key_min_entropy_check` for each parity-word set of the
+    """:func:`key_min_entropy_check` for each set of word indices in the
     sequence ``word_sets``, in order."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
@@ -496,10 +479,10 @@ def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
     """Min-entropy of first-qubit outcomes for a restricted GHZ superposition.
 
     Builds the uniform superposition of n-block GHZ products whose per-block
-    phase bits range over ``parity_words`` (n-bit words or their indices)
-    and whose correlation words range over everything, measures the first
-    qubit of each block in Z, and returns ``(hmin, n - log2(set size))``.
-    The first component is computed by exact marginalization; callers
-    assert it is at least the second.
+    phase bits range over ``parity_words`` (n-bit word indices, first bit
+    most significant) and whose correlation words range over everything,
+    measures the first qubit of each block in Z, and returns
+    ``(hmin, n - log2(set size))``.  The first component is computed by
+    exact marginalization; callers assert it is at least the second.
     """
     return key_min_entropy_checks(n, p, [parity_words])[0]

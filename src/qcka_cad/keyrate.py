@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 from .bitcore import binary_entropy
@@ -119,8 +120,8 @@ def key_length(
     With ``n_a`` and ``qx`` omitted, their analytic expectations under the
     i.i.d. noise model are used: n_a = round(pa * n) and qx = 2Q(1-Q).
     Passing realized values from a simulated trial evaluates the same
-    formula on observed statistics; they must satisfy 0 <= n_a <= n and
-    qx >= 0.
+    formula on observed statistics; they must satisfy 0 <= n_a <= n for an
+    integer n_a, and qx >= 0.
     """
     if len(noise.z_errors) != params.bobs:
         raise ValueError(
@@ -132,6 +133,8 @@ def key_length(
         qx = analytic_qx(noise.x_error)
     if n_a is None:
         n_a = min(round(pa * n), n)  # pa * n rounds up past n once n > 2**53
+    elif not isinstance(n_a, numbers.Integral):  # numpy integers register as Integral
+        raise ValueError(f"n_a must be an integer, got {n_a!r}")
     if not 0 <= n_a <= n:
         raise ValueError("need 0 <= n_a <= n")
     if not qx >= 0.0:  # NaN too

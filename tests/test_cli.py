@@ -289,7 +289,10 @@ class TestUsageErrors:
          "argument --qz-factors: expected a comma list of numbers, got 1,x"),
         (("sweep-n", "--signals-min", "1e4", "--signals-max", "1e6", "--q", "0", "--qz", ","),
          "argument --qz: expected a comma list of numbers, got ,"),
-    ], ids=["p", "m", "signals", "points", "seed", "qz", "qz-factors", "qz-empty"])
+        # An infinite step would make the first grid point 0 * inf = nan.
+        (("sweep-q", "--signals", "1e6", "--q-max", "0.1", "--q-step", "inf", "--qz", "0"),
+         "need q-min <= q-max and a positive q-step"),
+    ], ids=["p", "m", "signals", "points", "seed", "qz", "qz-factors", "qz-empty", "q-step-inf"])
     def test_non_number_wording(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (EXIT_USAGE, "", f"error: {message}\n")
 

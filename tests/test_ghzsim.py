@@ -42,60 +42,59 @@ class TestStateVector:
         with pytest.raises(ValueError, match="cap"):
             StateVector(np.broadcast_to(0.0, 1 << 21))
         with pytest.raises(ValueError, match="cap"):
-            ghz_state(20, [0] * 20, 0)
+            ghz_state(20, 0, 0)
         with pytest.raises(ValueError, match="cap"):
             random_pure_state(21, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="cap"):
-            ghz_state(10, [0] * 10, 0).tensor(ghz_state(9, [0] * 9, 0))
+        with pytest.raises(ValueError, match="21 qubits exceeds the qubit cap"):
+            compose(ghz_state(10, 0, 0), ghz_state(9, 0, 0))
 
     def test_amplitudes_read_only(self):
-        s = ghz_state(1, "0", 0)
+        s = ghz_state(1, 0, 0)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
     def test_tensor_orders_left_first(self):
         zero = StateVector([1.0, 0.0])
         one = StateVector([0.0, 1.0])
-        st = zero.tensor(one)  # |01>
-        assert st.amplitudes[0b01] == 1.0
+        assert compose(zero, one).amplitudes[0b01] == 1.0  # |01>
+        assert compose(one, zero, one).amplitudes[0b101] == 1.0
+        assert compose(one).amplitudes[1] == 1.0
+        with pytest.raises(ValueError, match="at least one state"):
+            compose()
 
 
 class TestGhzState:
     def test_bell_plus(self):
-        amps = ghz_state(1, "0", 0).amplitudes
+        amps = ghz_state(1, 0, 0).amplitudes
         assert amps[0b00] == pytest.approx(INV_SQRT2)
         assert amps[0b11] == pytest.approx(INV_SQRT2)
         assert amps[0b01] == 0.0 and amps[0b10] == 0.0
 
     def test_bell_minus(self):
-        amps = ghz_state(1, "0", 1).amplitudes
+        amps = ghz_state(1, 0, 1).amplitudes
         assert amps[0b00] == pytest.approx(INV_SQRT2)
         assert amps[0b11] == pytest.approx(-INV_SQRT2)
 
     def test_three_qubit_block_uses_bitwise_complement(self):
         # Correlation word 01, phase 0: (|001> + |110>)/sqrt(2).
-        amps = ghz_state(2, "01", 0).amplitudes
+        amps = ghz_state(2, 0b01, 0).amplitudes
         assert amps[0b001] == pytest.approx(INV_SQRT2)
         assert amps[0b110] == pytest.approx(INV_SQRT2)
         assert np.count_nonzero(amps) == 2
 
     def test_orthonormal_basis_exhaustive(self):
         for p in (1, 2, 3):
-            basis = [
-                ghz_state(p, bits, y).amplitudes
-                for bits in itertools.product((0, 1), repeat=p)
-                for y in (0, 1)
-            ]
+            basis = [ghz_state(p, x, y).amplitudes for x, y in _labels(p)]
             gram = np.array([[np.vdot(a, b) for b in basis] for a in basis])
             assert np.allclose(gram, np.eye(len(basis)), atol=1e-12)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            ghz_state(0, "", 0)
+            ghz_state(0, 0, 0)
         with pytest.raises(ValueError):
-            ghz_state(1, "0", 2)
+            ghz_state(1, 0, 2)
         with pytest.raises(ValueError):
-            ghz_state(2, "0", 0)  # wrong correlation-word length
+            ghz_state(2, 4, 0)  # beyond the two-bit words
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -104,8 +103,8 @@ class TestGhzState:
             ghzsim.hadamard_expansion_checks(1, [1.9], [0.0])  # not word 1
         with pytest.raises(ValueError, match="integers"):
             ghzsim.ghz_states(2, [1], [1.0])
-        with pytest.raises(ValueError, match="0 or 1"):
-            ghz_state(1, [256], 0)
+        with pytest.raises(ValueError, match="integers"):
+            ghz_state(1, "1", 0)  # a word spelled as bits
         assert ghzsim.ghz_states(1, [], []).shape == (0, 4)
         assert ghzsim.hadamard_expansion_checks(1, [], []).shape == (0,)
         assert np.array_equal(ghzsim.ghz_states(1, np.array([1], dtype=np.uint8), [True]),
@@ -113,38 +112,44 @@ class TestGhzState:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_word_forms_agree(self, p):
+        # A word is its index, as a Python or a numpy integer; bits are no word.
         for index in range(1 << p):
             bits = format(index, f"0{p}b")
             expect = ghzsim.ghz_states(p, [index], [1])[0]
             hmin = key_min_entropy_check(p, 1, [index])
-            for word in (index, np.int64(index), bits, BitString(bits), [int(b) for b in bits],
-                         np.array([int(b) for b in bits], dtype=np.uint8)):
+            for word in (index, np.int64(index), np.uint8(index)):
                 assert np.array_equal(ghz_state(p, word, 1).amplitudes, expect)
                 assert hadamard_expansion_check(p, word, 1)
                 assert not hadamard_expansion_check(p, word, 0, ghz_state(p, index, 1))
                 assert key_min_entropy_check(p, 1, [word]) == hmin
-        with pytest.raises(ValueError, match=f"length {p}, got {p + 1} bits"):
-            ghz_state(p, "0" * (p + 1), 0)
-        with pytest.raises(ValueError, match=f"index {1 << p} is not in"):
+            for word in (bits, BitString(bits), [int(b) for b in bits],
+                         np.array([int(b) for b in bits], dtype=np.uint8)):
+                for call in (lambda: ghz_state(p, word, 1),
+                             lambda: hadamard_expansion_check(p, word, 1),
+                             lambda: key_min_entropy_check(p, 1, [word])):
+                    with pytest.raises(ValueError):
+                        call()
+        with pytest.raises(ValueError, match=f"indices must lie in \\[0, 2\\*\\*{p}\\)"):
             ghz_state(p, 1 << p, 0)
-        with pytest.raises(ValueError, match="not a binary word"):
+        with pytest.raises(ValueError, match="integers"):
             hadamard_expansion_check(p, "2" * p, 0)
+        with pytest.raises(ValueError, match="word index .0+. is not an integer"):
+            key_min_entropy_check(p, 1, ["0" * p])
 
 
 class TestParityDistribution:
     def test_point_mass_on_phase_bit_exhaustive(self):
         for p in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=p):
-                for y in (0, 1):
-                    dist = x_basis_parity_distribution(ghz_state(p, bits, y))
-                    assert dist[y] == pytest.approx(1.0, abs=1e-12)
-                    assert dist[1 - y] == pytest.approx(0.0, abs=1e-12)
+            for x, y in _labels(p):
+                dist = x_basis_parity_distribution(ghz_state(p, x, y))
+                assert dist[y] == pytest.approx(1.0, abs=1e-12)
+                assert dist[1 - y] == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_beyond_sixteen_qubits(self):
         # Indices of 17 and 18 qubits have set bits above bit 15.
         for p in (16, 17):
             for y in (0, 1):
-                dist = x_basis_parity_distribution(ghz_state(p, [0] * p, y))
+                dist = x_basis_parity_distribution(ghz_state(p, 0, y))
                 assert dist[y] == pytest.approx(1.0, abs=1e-12)
                 assert dist[1 - y] == pytest.approx(0.0, abs=1e-12)
 
@@ -180,29 +185,28 @@ class TestHadamardTransform:
 class TestHadamardExpansion:
     def test_true_for_all_small_blocks(self):
         for p in (1, 2, 3):
-            for bits in itertools.product((0, 1), repeat=p):
-                for y in (0, 1):
-                    assert hadamard_expansion_check(p, bits, y)
+            for x, y in _labels(p):
+                assert hadamard_expansion_check(p, x, y)
 
     def test_rejects_corrupted_state(self):
-        amps = ghz_state(2, "10", 1).amplitudes.copy()
+        amps = ghz_state(2, 0b10, 1).amplitudes.copy()
         amps[0] += 1e-3
         amps /= np.linalg.norm(amps)
-        assert not hadamard_expansion_check(2, "10", 1, StateVector(amps))
+        assert not hadamard_expansion_check(2, 0b10, 1, StateVector(amps))
 
     def test_rejects_wrong_label(self):
-        state = ghz_state(2, "10", 1)
-        assert not hadamard_expansion_check(2, "10", 0, state)
-        assert not hadamard_expansion_check(2, "11", 1, state)
+        state = ghz_state(2, 0b10, 1)
+        assert not hadamard_expansion_check(2, 0b10, 0, state)
+        assert not hadamard_expansion_check(2, 0b11, 1, state)
 
 
 class TestSieveEquivalence:
     def test_noiseless_round_accepts_with_equal_keys(self):
-        state = compose(ghz_state(1, "0", 0), ghz_state(1, "0", 0))
+        state = compose(ghz_state(1, 0, 0), ghz_state(1, 0, 0))
         assert cad_delayed_measurement_equivalence(1, 1, state) <= 1e-10
 
     def test_mismatched_correlation_forces_reject(self):
-        state = compose(ghz_state(1, "1", 0), ghz_state(1, "0", 0))
+        state = compose(ghz_state(1, 1, 0), ghz_state(1, 0, 0))
         assert cad_delayed_measurement_equivalence(1, 1, state) <= 1e-10
 
     def test_random_states_give_identical_records(self):
@@ -231,7 +235,7 @@ class TestSieveEquivalence:
                     assert np.array_equal(tables(blocks, state.amplitudes[None])[0], expect)
 
     def test_layout_validation(self):
-        state = ghz_state(1, "0", 0)
+        state = ghz_state(1, 0, 0)
         with pytest.raises(ValueError, match="layout|qubits"):
             cad_delayed_measurement_equivalence(1, 1, state)
 
@@ -245,23 +249,23 @@ class TestSieveEquivalence:
 
 class TestKeyMinEntropy:
     def test_single_block_single_word(self):
-        hmin, bound = key_min_entropy_check(1, 1, ["0"])
+        hmin, bound = key_min_entropy_check(1, 1, [0])
         assert bound == 1.0
         assert hmin == pytest.approx(1.0, abs=1e-9)
 
     def test_full_word_set_gives_vacuous_bound(self):
-        hmin, bound = key_min_entropy_check(2, 1, ["00", "01", "10", "11"])
+        hmin, bound = key_min_entropy_check(2, 1, [0b00, 0b01, 0b10, 0b11])
         assert bound == 0.0
         assert hmin >= -1e-12
 
     def test_repetition_pair(self):
-        hmin, bound = key_min_entropy_check(2, 1, ["00", "11"])
+        hmin, bound = key_min_entropy_check(2, 1, [0b00, 0b11])
         assert bound == 1.0
         assert hmin >= bound - 1e-9
 
     def test_duplicates_are_deduplicated(self):
-        a = key_min_entropy_check(2, 1, ["00", "00", "11"])
-        b = key_min_entropy_check(2, 1, ["00", "11"])
+        a = key_min_entropy_check(2, 1, [0b00, 0b00, 0b11])
+        b = key_min_entropy_check(2, 1, [0b00, 0b11])
         assert a == b
 
     def test_random_sets_respect_bound(self):
@@ -270,17 +274,18 @@ class TestKeyMinEntropy:
             for _ in range(10):
                 size = int(rng.integers(1, 2**n + 1))
                 picks = rng.choice(2**n, size=size, replace=False)
-                words = [format(int(w), f"0{n}b") for w in sorted(picks)]
-                hmin, bound = key_min_entropy_check(n, p, words)
+                hmin, bound = key_min_entropy_check(n, p, sorted(picks))
                 assert hmin >= bound - 1e-9
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
             key_min_entropy_check(2, 1, [])
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match="is not an integer in"):
             key_min_entropy_check(2, 1, ["0"])
+        with pytest.raises(ValueError, match="is not an integer in"):
+            key_min_entropy_check(2, 1, [0.0])
         with pytest.raises(ValueError, match="cap"):
-            key_min_entropy_check(7, 2, ["0000000"])
+            key_min_entropy_check(7, 2, [0])
 
 
 class TestBatchedKernels:
@@ -308,11 +313,11 @@ class TestBatchedKernels:
     def test_min_entropy_batches_match_batch_of_one(self, n, p):
         chunk = ghzsim._chunk_size(16 << (n * (p + 1)))  # the superposition
         rng = np.random.default_rng(10 * n + p)
-        everything = [format(w, f"0{n}b") for w in range(2**n)]
+        everything = list(range(2**n))
         sets = [everything, everything[:1] * 3, everything[::-1] + everything[:2]]
         while len(sets) < chunk + 1:  # random sets, duplicates included
             picks = rng.integers(0, 2**n, size=int(rng.integers(1, 2**n + 3)))
-            sets.append([everything[w] for w in picks])
+            sets.append(picks.tolist())
         single = [key_min_entropy_check(n, p, words) for words in sets]
         for count in (1, chunk, chunk + 1):
             assert key_min_entropy_checks(n, p, sets[:count]) == single[:count]
@@ -360,8 +365,9 @@ def _reference_hadamard(amps):
     return a.reshape(-1) / math.sqrt(2.0) ** k
 
 
-def _reference_expansion(p, bits, y):
+def _reference_expansion(p, x, y):
     """The expected all-Hadamard expansion of one GHZ label, outcome by outcome."""
+    bits = [int(b) for b in format(x, f"0{p}b")]
     expected = np.zeros(2 << p, dtype=np.complex128)
     for c in itertools.product((0, 1), repeat=p):
         c0 = y ^ (sum(c) & 1)
@@ -371,7 +377,8 @@ def _reference_expansion(p, bits, y):
 
 
 def _labels(p):
-    return [(bits, y) for bits in itertools.product((0, 1), repeat=p) for y in (0, 1)]
+    """Every (word index, phase bit) label of a (p+1)-qubit GHZ block."""
+    return [(x, y) for x in range(1 << p) for y in (0, 1)]
 
 
 class TestBulkInputs:
@@ -437,15 +444,17 @@ class TestBulkInputs:
 
     @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
     def test_index_parity_sets_match_word_sets(self, n, p):
+        # Every container of word indices is the set of its distinct indices.
         rng = np.random.default_rng(7 * n + p)
         for _ in range(20):
             picks = [int(w) for w in rng.integers(0, 2**n, size=int(rng.integers(1, 2**n + 3)))]
-            words = [format(w, f"0{n}b") for w in picks]
-            expect = key_min_entropy_check(n, p, words)
+            expect = key_min_entropy_check(n, p, sorted(set(picks)))
             assert key_min_entropy_check(n, p, picks) == expect
             assert key_min_entropy_check(n, p, np.array(picks)) == expect
-            assert key_min_entropy_check(n, p, [BitString(w) for w in words]) == expect
-            assert key_min_entropy_check(n, p, sorted(set(picks))) == expect
+            assert key_min_entropy_check(n, p, set(picks)) == expect
+            assert key_min_entropy_check(n, p, [np.uint8(w) for w in picks[::-1]]) == expect
+            with pytest.raises(ValueError, match="is not an integer in"):
+                key_min_entropy_check(n, p, [BitString(format(w, f"0{n}b")) for w in picks])
 
     def test_index_parity_sets_checked(self):
         with pytest.raises(ValueError, match="index 4"):
@@ -456,13 +465,11 @@ class TestBulkInputs:
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_ghz_family_matches_single_states(self, p):
         labels = _labels(p)
-        words = [int("".join(map(str, bits)), 2) for bits, _ in labels]
-        ys = [y for _, y in labels]
+        words, ys = zip(*labels)
         family = ghzsim.ghz_states(p, words, ys)
-        for row, (bits, y) in zip(family, labels):
-            assert np.array_equal(row, ghz_state(p, bits, y).amplitudes)
+        for row, (index, y) in zip(family, labels):
+            assert np.array_equal(row, ghz_state(p, index, y).amplitudes)
             expect = np.zeros(2 << p)
-            index = int("".join(map(str, bits)), 2)
             expect[index] = 1.0 / math.sqrt(2.0)
             expect[(1 << p) | (index ^ ((1 << p) - 1))] = (-1.0) ** y / math.sqrt(2.0)
             assert np.array_equal(row, expect)
@@ -488,8 +495,7 @@ class TestBulkInputs:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_expansion_checks_match_reference(self, p):
         labels = _labels(p)
-        words = [int("".join(map(str, bits)), 2) for bits, _ in labels]
-        ys = [y for _, y in labels]
+        words, ys = zip(*labels)
         assert ghzsim.hadamard_expansion_checks(p, words, ys).all()
         # Perturbations of the order of atol: some labels pass, some fail.
         rng = np.random.default_rng(2)
@@ -499,12 +505,12 @@ class TestBulkInputs:
         passed = []
         for states in (noisy, family[::-1]):
             got = ghzsim.hadamard_expansion_checks(p, words, ys, states)
-            expect = [np.allclose(_reference_hadamard(amps), _reference_expansion(p, bits, y),
+            expect = [np.allclose(_reference_hadamard(amps), _reference_expansion(p, x, y),
                                   atol=1e-10, rtol=0.0)
-                      for amps, (bits, y) in zip(states, labels)]
+                      for amps, (x, y) in zip(states, labels)]
             assert got.tolist() == expect
-            assert got.tolist() == [hadamard_expansion_check(p, bits, y, StateVector(amps))
-                                    for amps, (bits, y) in zip(states, labels)]
+            assert got.tolist() == [hadamard_expansion_check(p, x, y, StateVector(amps))
+                                    for amps, (x, y) in zip(states, labels)]
             passed.append(sum(expect))
         assert 0 < passed[0] < len(labels) and passed[1] == 0
 
@@ -516,13 +522,13 @@ class TestBatteryMatchesSingleInputs:
         parity = orthonormal = 0.0
         failing = 0
         for p in (1, 2, 3):
-            basis = [(bits, y, ghz_state(p, bits, y)) for bits, y in _labels(p)]
-            for bits, y, state in basis:
+            basis = [(x, y, ghz_state(p, x, y)) for x, y in _labels(p)]
+            for x, y, state in basis:
                 dist = x_basis_parity_distribution(state)
                 parity = max(parity, abs(dist[y] - 1.0), dist[1 - y])
-                failing += not hadamard_expansion_check(p, bits, y)
-                for bits2, y2, state2 in basis:
-                    expect = 1.0 if (bits, y) == (bits2, y2) else 0.0
+                failing += not hadamard_expansion_check(p, x, y)
+                for x2, y2, state2 in basis:
+                    expect = 1.0 if (x, y) == (x2, y2) else 0.0
                     overlap = abs(np.vdot(state.amplitudes, state2.amplitudes))
                     orthonormal = max(orthonormal, abs(overlap - expect))
         assert verify.check_parity_exact().margin == parity
@@ -564,9 +570,9 @@ class TestBatteryMatchesSingleInputs:
             for _ in range(trials):
                 size = int(rng.integers(1, 2**n + 1))
                 picks = rng.choice(2**n, size=size, replace=False)
-                word_sets.append([format(int(w), f"0{n}b") for w in sorted(picks)])
+                word_sets.append([int(w) for w in sorted(picks)])
             assert args[:2] == (n, p)
-            assert args[2] == [[int(w, 2) for w in words] for words in word_sets]
+            assert args[2] == word_sets
             singles = [key_min_entropy_check(n, p, words) for words in word_sets]
             assert results == singles
             worst = min(worst, *(hmin - bound for hmin, bound in singles))

@@ -183,6 +183,17 @@ class TestMinEntropyBound:
                 ref_report(50 * SCALE, qx_plus_delta)
 
 
+    def test_accepted_count_must_be_an_integer(self):
+        params = ProtocolParams(1, 10**6, 10**5, 1e-36)
+        noise = NoiseModel(0.02, (0.02,))
+        for n_a in (800000.5, 800000.0, "800000"):
+            with pytest.raises(ValueError, match="n_a must be an integer"):
+                key_length(params, noise, n_a=n_a)
+        expect = key_length(params, noise, n_a=800000)
+        for n_a in (np.int64(800000), np.uint32(800000)):
+            assert key_length(params, noise, n_a=n_a) == expect
+
+
 class TestLeakEc:
     def test_noiseless_is_log_term_only(self):
         for p, eps in ((1, 1e-36), (3, 1e-12)):
