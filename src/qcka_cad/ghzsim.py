@@ -25,17 +25,19 @@ bits, parity sets as a sequence of sets of word indices.  Each input gets
 the same bits as a batch of one, which is what the single-input
 functions are; they take a StateVector in place of an amplitude row.
 ``ghz_states`` builds a stacked family of GHZ basis states and
-``random_pure_states`` draws random states in blocks, one generator call
-per block.  The sieve and min-entropy kernels slice their inputs into
-chunks whose largest temporary stays within 512 KiB.  The sieve's
-delayed-order CNOT circuit (one gather permutation) and the min-entropy
-head vectors are built once per layout, on first use.  States are dense
-complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
-(16 MiB per vector), checked before anything is allocated; within a GHZ
-block, qubit 1 belongs to the first party and qubits 2..p+1 to the
-others.  Qubit 1 is the most significant bit of the amplitude index, so
-in the ``(2,) * k`` axis view every kernel works on, qubit q is axis
-q - 1.
+``random_pure_states`` draws random states in blocks, one generator call per
+block; row norms are batched BLAS dots, bit for bit ``np.linalg.norm``.  The
+sieve and min-entropy kernels slice their inputs into chunks whose largest
+temporary (the sieve's: the norm check's copy of the amplitudes) stays
+within 512 KiB.  The sieve's delayed-order CNOT circuit runs on indices once
+per layout, into a read-only map that gives each (Left, parity) cell its one
+amplitude, so a delayed table is one gather; the min-entropy head vectors
+are also built once per layout.  States are dense complex vectors with a
+hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per vector), checked
+before anything is allocated; within a GHZ block, qubit 1 belongs to the
+first party and qubits 2..p+1 to the others.  Qubit 1 is the most
+significant bit of the amplitude index, so in the ``(2,) * k`` axis view
+every kernel works on, qubit q is axis q - 1.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ def _checked_labels(p: int, words, ys) -> tuple:
         raise ValueError("need at least one trailing qubit (p >= 1)")
     _check_cap(p + 1)
     words, ys = np.asarray(words), np.asarray(ys)
-    if words.ndim != 1 or words.shape != ys.shape:
+    if words.ndim != 1:
+        raise ValueError(f"correlation-word indices must be a 1-D array, got {words.ndim}-D")
+    if words.shape != ys.shape:
         raise ValueError("need one phase bit per correlation word")
     if words.size and (words.dtype.kind not in "biu" or ys.dtype.kind not in "biu"):
         raise ValueError("correlation-word indices and phase bits must be integers")
@@ -185,13 +189,17 @@ def compose(*states: StateVector) -> StateVector:
     return StateVector(functools.reduce(np.kron, [s.amplitudes for s in states]))
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit: its BLAS dots, batched by ``matmul``."""
+    re, im = rows.real[:, None], rows.imag[:, None]
+    return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
+
+
 def _random_block(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """``count`` normalized complex Gaussian vectors of length ``dim``, as rows."""
     draws = rng.standard_normal((count, 2, dim))
     vecs = draws[:, 0] + 1j * draws[:, 1]
-    # One norm per state: its BLAS dot sums in an order that a batched
-    # reduction does not reproduce.
-    vecs /= np.array([np.linalg.norm(v) for v in vecs])[:, None]
+    vecs /= _row_norms(vecs)[:, None]
     return vecs
 
 
@@ -315,8 +323,8 @@ def _chunks(items: Sequence, size: int):
 # axis b on the Left, axis r(p+1) + b on the Right and axis 2r(p+1) + b
 # for its ancilla, and bit blocks-1-b of a packed Left or parity word.
 #
-# The delayed circuit depends only on the layout, so it is built once per
-# layout (a handful, bounded by the qubit cap) and kept read-only.
+# The delayed circuit depends only on the layout, so its cell map is built
+# once per layout (a handful, bounded by the qubit cap) and kept read-only.
 
 
 def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -327,15 +335,14 @@ def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
 def _delayed_sources(blocks: int) -> np.ndarray:
     """Where each amplitude of the delayed-order register comes from.
 
-    Entry i of the flat system-plus-ancilla register, after the parity
-    CNOTs, is system amplitude ``sources[i]`` with every ancilla in |0>;
-    the index ``2**(2 * blocks)`` stands for a zero amplitude.  A CNOT only
-    moves amplitudes, so running the circuit on indices gives the same
-    register as running it on amplitudes.
+    Entry ``[l, r, a]`` of the register (Left, Right and ancilla bits),
+    after the parity CNOTs, is system amplitude ``sources[l, r, a]`` with
+    every ancilla in |0>; the index ``2**(2 * blocks)`` stands for a zero
+    amplitude.  A CNOT only moves amplitudes, so running the circuit on
+    indices gives the same register as running it on amplitudes.
     """
     system = 2 * blocks
     sources = np.full((1 << system, 1 << blocks), 1 << system, dtype=np.intp)
@@ -344,9 +351,7 @@ def _delayed_sources(blocks: int) -> np.ndarray:
     for b in range(blocks):
         sources = _apply_cnot(sources, b, system + b)
         sources = _apply_cnot(sources, blocks + b, system + b)
-    sources = sources.ravel()
-    sources.setflags(write=False)
-    return sources
+    return sources.reshape((1 << blocks,) * 3)
 
 
 def _direct_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
@@ -361,18 +366,30 @@ def _direct_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
     return table
 
 
+def _cell_map(sources: np.ndarray) -> np.ndarray:
+    """The one source in each ``[Left, ancilla]`` cell of ``_delayed_sources``."""
+    live = sources != len(sources) ** 2
+    if not (live.sum(axis=1) == 1).all():
+        raise ValueError("a delayed-table cell does not have exactly one source")
+    cells = np.where(live, sources, 0).sum(axis=1)
+    cells.setflags(write=False)
+    return cells
+
+
+@functools.lru_cache(maxsize=None)
+def _delayed_cells(blocks: int) -> np.ndarray:
+    """The system amplitude that lands in each cell of the delayed table."""
+    return _cell_map(_delayed_sources(blocks))
+
+
 def _delayed_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
     """Joint tables ``P[state, Left bits, parity bits]`` when two CNOTs per
     block write each parity onto an ancilla before anything is measured."""
-    count, size, system = len(amps), 1 << blocks, 2 * blocks
+    system = 2 * blocks
     _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
     # The circuit only moves amplitudes, so moving the squared moduli gives
-    # the register's measurement distribution.
-    padded = np.zeros((count, (1 << system) + 1))
-    padded[:, :-1] = np.abs(amps) ** 2
-    probs = padded[:, _delayed_sources(blocks)]
-    # Sum out the Right qubits, the middle of the (Left, Right, ancilla) axes.
-    return probs.reshape(count, size, size, size).sum(axis=2)
+    # the register's measurement distribution; each cell receives one.
+    return (np.abs(amps) ** 2)[:, _delayed_cells(blocks)]
 
 
 def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -> np.ndarray:
@@ -380,7 +397,7 @@ def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -
     amplitude array ``states``, in row order."""
     blocks = rounds * (p + 1)
     distances = [np.zeros(0)]
-    for chunk in _chunks(states, _chunk_size(8 << (3 * blocks))):
+    for chunk in _chunks(states, _chunk_size(16 << (2 * blocks))):
         amps = _stacked(chunk)
         if amps.shape[1] != 1 << (2 * blocks):
             raise ValueError(f"state has {_qubits(amps.shape[1])} qubits, "
@@ -450,10 +467,7 @@ def _key_min_entropies(n: int, p: int, sets: list) -> list:
     amps = np.broadcast_to(
         heads.reshape((len(sets),) + block_axes), (len(sets),) + (2,) * k
     ).astype(np.complex128, order="C")
-    # One norm per state: its BLAS dot sums in an order that a batched
-    # reduction does not reproduce.
-    norms = np.array([np.linalg.norm(a) for a in amps])
-    amps /= norms.reshape((-1,) + (1,) * k)
+    amps /= _row_norms(amps.reshape(len(sets), -1)).reshape((-1,) + (1,) * k)
     probs = np.abs(amps)
     probs **= 2
     kept_axes = {i * (p + 1) for i in range(n)}

@@ -26,8 +26,9 @@ GOLDEN_SIMULATE_HEADER_P2 = (
 )
 
 
-# `selftest` stdout, byte for byte: the full battery at seed 0 (CSV) and the
-# quick battery at seed 8 (JSON).
+# `selftest` stdout, byte for byte: the full battery at seed 0 (CSV) and at
+# seed 12345 (JSON, whose margins keep every bit), and the quick battery at
+# seed 8 (JSON).
 GOLDEN_SELFTEST_SEED_0 = (
     "PASS ghz-parity-exact margin=6.661338e-16  (max deviation of the announced parity from the phase bit)\n"
     "PASS ghz-orthonormality margin=2.220446e-16  (max deviation of pairwise inner products from identity)\n"
@@ -37,6 +38,53 @@ GOLDEN_SELFTEST_SEED_0 = (
     "PASS sampling-exhaustive margin=4.307692e-01  (min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25)\n"
     "PASS sampling-roundtrip margin=1.714360e-16  (max relative log-space error of the delta inverse)\n"
 )
+
+GOLDEN_SELFTEST_SEED_12345_JSON = """\
+[
+  {
+    "name": "ghz-parity-exact",
+    "status": "PASS",
+    "margin": 6.661338147750939e-16,
+    "detail": "max deviation of the announced parity from the phase bit"
+  },
+  {
+    "name": "ghz-orthonormality",
+    "status": "PASS",
+    "margin": 2.220446049250313e-16,
+    "detail": "max deviation of pairwise inner products from identity"
+  },
+  {
+    "name": "hadamard-expansion",
+    "status": "PASS",
+    "margin": 0.0,
+    "detail": "GHZ states failing the all-Hadamard expansion identity"
+  },
+  {
+    "name": "sieve-equivalence",
+    "status": "PASS",
+    "margin": 0.0,
+    "detail": "max TV distance over 200 random states per config"
+  },
+  {
+    "name": "key-min-entropy",
+    "status": "PASS",
+    "margin": -4.440892098500626e-16,
+    "detail": "min (hmin - bound) over 100 random parity sets per config"
+  },
+  {
+    "name": "sampling-exhaustive",
+    "status": "PASS",
+    "margin": 0.39731682146542824,
+    "detail": "min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25"
+  },
+  {
+    "name": "sampling-roundtrip",
+    "status": "PASS",
+    "margin": 1.7143599405391772e-16,
+    "detail": "max relative log-space error of the delta inverse"
+  }
+]
+"""
 
 GOLDEN_SELFTEST_SEED_8_QUICK_JSON = """\
 [
@@ -542,6 +590,10 @@ class TestSelftest:
 
     def test_full_csv_stdout_is_pinned(self, capsys):
         assert run_cli(capsys, "selftest", "--seed", "0") == (EXIT_OK, GOLDEN_SELFTEST_SEED_0, "")
+
+    def test_full_json_stdout_is_pinned(self, capsys):
+        argv = ("selftest", "--seed", "12345", "--format", "json")
+        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEED_12345_JSON, "")
 
     def test_quick_json_stdout_is_pinned(self, capsys):
         argv = ("selftest", "--seed", "8", "--quick", "--format", "json")

@@ -95,6 +95,14 @@ class TestGhzState:
             ghz_state(1, 0, 2)
         with pytest.raises(ValueError):
             ghz_state(2, 4, 0)  # beyond the two-bit words
+        # A word spelled as bits is a 2-D word array: the message names the
+        # words, and only a real length mismatch blames the phase bits.
+        for call in (lambda: ghz_state(2, [0, 1], 0),
+                     lambda: ghzsim.ghz_states(2, [[0, 1]], [0])):
+            with pytest.raises(ValueError, match="indices must be a 1-D array, got 2-D"):
+                call()
+        with pytest.raises(ValueError, match="need one phase bit per correlation word"):
+            ghzsim.ghz_states(2, [0, 1], [0])
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ValueError, match="integers"):
@@ -239,6 +247,30 @@ class TestSieveEquivalence:
         with pytest.raises(ValueError, match="layout|qubits"):
             cad_delayed_measurement_equivalence(1, 1, state)
 
+    @pytest.mark.parametrize("blocks", [2, 3, 4, 6])
+    def test_cell_map_matches_register_sum(self, blocks):
+        # The delayed table read from the whole register: gather every entry
+        # of the system-plus-ancilla register, then sum out the Right bits.
+        rng = np.random.default_rng(blocks)
+        amps = np.concatenate(list(ghzsim.random_pure_states(2 * blocks, 3, rng)))
+        count, size = len(amps), 1 << blocks
+        padded = np.zeros((count, size * size + 1))
+        padded[:, :-1] = np.abs(amps) ** 2
+        probs = padded[:, ghzsim._delayed_sources(blocks).ravel()]
+        expect = probs.reshape(count, size, size, size).sum(axis=2)
+        assert np.array_equal(ghzsim._delayed_tables(blocks, amps), expect)
+
+    def test_cell_map_needs_one_source_per_cell(self):
+        sources = ghzsim._delayed_sources(2).copy()
+        zero = len(sources) ** 2
+        assert np.array_equal(ghzsim._cell_map(sources), ghzsim._delayed_cells(2))
+        (live,) = np.flatnonzero(sources[0, :, 0] != zero)
+        for r, source in ((live ^ 1, sources[0, live, 0]), (live, zero)):  # two sources, none
+            broken = sources.copy()
+            broken[0, r, 0] = source
+            with pytest.raises(ValueError, match="exactly one source"):
+                ghzsim._cell_map(broken)
+
     def test_ancilla_cap(self):
         # Four parties over two rounds: 16 system qubits plus 8 ancillas.
         rng = np.random.default_rng(3)
@@ -294,7 +326,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("p, rounds", [(1, 1), (2, 1), (1, 2)])
     def test_sieve_batches_match_batch_of_one(self, p, rounds):
         blocks = rounds * (p + 1)
-        chunk = ghzsim._chunk_size(8 << (3 * blocks))  # the delayed register
+        chunk = ghzsim._chunk_size(16 << (2 * blocks))  # the norm check's copy
         rng = np.random.default_rng(100 * p + rounds)
         states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
         stacked = np.stack([s.amplitudes for s in states])
@@ -327,7 +359,7 @@ class TestBatchedKernels:
         assert key_min_entropy_checks(2, 1, []) == []
 
     def test_cached_tables_are_read_only(self):
-        for table in (ghzsim._delayed_sources(4), ghzsim._head_vectors(3)):
+        for table in (ghzsim._delayed_cells(4), ghzsim._head_vectors(3)):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -336,7 +368,33 @@ class TestBatchedKernels:
             nbytes = 16 << qubits
             size = ghzsim._chunk_size(nbytes)
             assert size >= 1 and (size == 1 or size * nbytes <= ghzsim._CHUNK_BYTES)
-        assert ghzsim._chunk_size(8 << 12) == 16  # the (1, 2) sieve's delayed register
+        assert ghzsim._chunk_size(16 << 8) == 128  # the (1, 2) sieve's norm-check copy
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
+                                      (4, 1), (3, 2)])
+    def test_row_norms_of_superpositions_match_norm(self, n, p):
+        # The min-entropy kernel's broadcast superpositions, 2**2 .. 2**9 amplitudes.
+        k = n * (p + 1)
+        chunk = ghzsim._chunk_size(16 << k)
+        rng = np.random.default_rng(k)
+        heads = ghzsim._head_vectors(n)[rng.integers(0, 2**n, size=(chunk + 1, 3))].sum(axis=1)
+        block_axes = ((2,) + (1,) * p) * n
+        rows = np.broadcast_to(heads.reshape((-1,) + block_axes), (chunk + 1,) + (2,) * k)
+        rows = rows.astype(np.complex128, order="C").reshape(chunk + 1, -1)
+        for count in (1, chunk, chunk + 1):
+            expect = [np.linalg.norm(row) for row in rows[:count]]
+            assert ghzsim._row_norms(rows[:count]).tolist() == expect
+
+    @pytest.mark.parametrize("qubits", [4, 6, 8])
+    def test_row_norms_of_draws_match_norm(self, qubits):
+        chunk = ghzsim._chunk_size(48 << qubits)  # one draw block
+        draws = np.random.default_rng(qubits).standard_normal((chunk + 1, 2, 1 << qubits))
+        rows = draws[:, 0] + 1j * draws[:, 1]
+        for count in (1, chunk, chunk + 1):
+            expect = [np.linalg.norm(row) for row in rows[:count]]
+            assert ghzsim._row_norms(rows[:count]).tolist() == expect
+        for view in (rows[::2, ::3], np.broadcast_to(rows[0], (3, rows.shape[1]))):
+            assert ghzsim._row_norms(view).tolist() == [np.linalg.norm(row) for row in view]
 
 
 class TestRandomPureState:
