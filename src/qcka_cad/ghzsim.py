@@ -28,8 +28,9 @@ functions are; they take a StateVector in place of an amplitude row.
 ``random_pure_states`` draws random states in blocks, one generator call per
 block; row norms are batched BLAS dots, bit for bit ``np.linalg.norm``.  The
 sieve and min-entropy kernels slice their inputs into chunks whose largest
-temporary (the sieve's: the norm check's copy of the amplitudes) stays
-within 512 KiB.  The sieve's delayed-order CNOT circuit runs on indices once
+temporary (the chunk's rows as complex amplitudes) stays within 512 KiB, and
+the min-entropy kernel checks each chunk of parity sets with array
+operations.  The sieve's delayed-order CNOT circuit runs on indices once
 per layout, into a read-only map that gives each (Left, parity) cell its one
 amplitude, so a delayed table is one gather; the min-entropy head vectors
 are also built once per layout.  States are dense complex vectors with a
@@ -135,7 +136,8 @@ def _stacked(states: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 2-D array of amplitude rows, got {states.ndim} dimensions")
     _qubits(states.shape[1])
     amps = states.astype(np.complex128, copy=False)
-    _check_norms(np.einsum("ij,ij->i", amps.conj(), amps).real)
+    re, im = amps.real, amps.imag
+    _check_norms(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
     return amps
 
 
@@ -198,7 +200,8 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
 def _random_block(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
     """``count`` normalized complex Gaussian vectors of length ``dim``, as rows."""
     draws = rng.standard_normal((count, 2, dim))
-    vecs = draws[:, 0] + 1j * draws[:, 1]
+    vecs = np.empty((count, dim), dtype=np.complex128)
+    vecs.real, vecs.imag = draws[:, 0], draws[:, 1]
     vecs /= _row_norms(vecs)[:, None]
     return vecs
 
@@ -214,7 +217,8 @@ def random_pure_states(qubit_count: int, count: int, rng: np.random.Generator):
     if qubit_count < 1:
         raise ValueError("need at least one qubit")
     _check_cap(qubit_count)
-    # A block's draws, the draws times 1j and its rows: 48 << k bytes per state.
+    # A block's draws and its rows take 32 << k bytes per state; the block
+    # size stays the one a 48 << k budget gives.
     size = _chunk_size(48 << qubit_count)
     return (_random_block(rng, min(size, count - start), 1 << qubit_count)
             for start in range(0, count, size))
@@ -397,6 +401,8 @@ def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -
     amplitude array ``states``, in row order."""
     blocks = rounds * (p + 1)
     distances = [np.zeros(0)]
+    # 16 bytes per amplitude: the chunk's rows as complex amplitudes, a copy
+    # unless they are complex128 already.  Each float table is half that.
     for chunk in _chunks(states, _chunk_size(16 << (2 * blocks))):
         amps = _stacked(chunk)
         if amps.shape[1] != 1 << (2 * blocks):
@@ -440,40 +446,59 @@ def _head_vectors(n: int) -> np.ndarray:
     return heads
 
 
-def _parity_set(n: int, parity_words: Iterable) -> list:
-    """A set of n-bit word indices as sorted, distinct Python ints."""
-    indices = set()
-    for w in parity_words:
-        if not isinstance(w, (int, np.integer)) or not 0 <= w < 1 << n:
-            raise ValueError(f"word index {w!r} is not an integer in [0, 2**{n})")
-        indices.add(int(w))
-    if not indices:
-        raise ValueError("empty parity-word set")
-    return sorted(indices)
+def _parity_picks(n: int, word_sets: Sequence) -> tuple:
+    """A chunk of parity sets as rows of sorted, distinct word indices padded
+    with ``2**n`` (the zero head vector), and the number of words in each.
+
+    The chunk is checked as a whole; only a bad chunk is checked set by set,
+    to raise the message that names its first bad set and word.  Types are
+    checked before numpy sees the words, since it would take a ``bool_`` or
+    a 0-d array for a word index.
+    """
+    sets = [list(s) for s in word_sets]
+    lengths = [len(s) for s in sets]
+    flat = list(itertools.chain.from_iterable(sets))
+    words = None
+    if all(issubclass(t, (int, np.integer)) for t in set(map(type, flat))):
+        try:
+            words = np.array(flat, dtype=np.int64)
+        except OverflowError:
+            pass
+    if words is None or 0 in lengths or np.any((words < 0) | (words >= 1 << n)):
+        for checked in sets:
+            for w in checked:
+                if not isinstance(w, (int, np.integer)) or not 0 <= w < 1 << n:
+                    raise ValueError(f"word index {w!r} is not an integer in [0, 2**{n})")
+            if not checked:
+                raise ValueError("empty parity-word set")
+    member = np.zeros((len(sets), 1 << n), dtype=bool)
+    member[np.repeat(np.arange(len(sets)), lengths), words] = True
+    sizes = member.sum(axis=1)
+    width = sizes.max()
+    ranked = np.argsort(~member, axis=1, kind="stable")[:, :width]
+    return np.where(np.arange(width) < sizes[:, None], ranked, 1 << n), sizes
 
 
-def _key_min_entropies(n: int, p: int, sets: list) -> list:
+def _key_min_entropies(n: int, p: int, picks: np.ndarray, sizes: np.ndarray) -> list:
     heads_of = _head_vectors(n)
-    none = len(heads_of) - 1
-    width = max(map(len, sets))
-    picks = np.array([s + [none] * (width - len(s)) for s in sets])
     # Each set's heads are summed in sorted word order, from zero.
-    heads = np.zeros((len(sets), 2**n))
+    heads = np.zeros((len(picks), 2**n))
     for column in picks.T:
         heads += heads_of[column]
 
     k = n * (p + 1)
     block_axes = ((2,) + (1,) * p) * n
     amps = np.broadcast_to(
-        heads.reshape((len(sets),) + block_axes), (len(sets),) + (2,) * k
+        heads.reshape((len(picks),) + block_axes), (len(picks),) + (2,) * k
     ).astype(np.complex128, order="C")
-    amps /= _row_norms(amps.reshape(len(sets), -1)).reshape((-1,) + (1,) * k)
+    amps /= _row_norms(amps.reshape(len(picks), -1)).reshape((-1,) + (1,) * k)
     probs = np.abs(amps)
     probs **= 2
     kept_axes = {i * (p + 1) for i in range(n)}
     traced = tuple(1 + ax for ax in range(k) if ax not in kept_axes)
-    peaks = probs.sum(axis=traced).reshape(len(sets), -1).max(axis=1)
-    return [(-math.log2(float(peak)), n - math.log2(len(s))) for peak, s in zip(peaks, sets)]
+    peaks = probs.sum(axis=traced).reshape(len(picks), -1).max(axis=1)
+    return [(-math.log2(peak), n - math.log2(size))
+            for peak, size in zip(peaks.tolist(), sizes.tolist())]
 
 
 def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
@@ -485,7 +510,7 @@ def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
     _check_cap(k)
     results = []
     for chunk in _chunks(word_sets, _chunk_size(16 << k)):
-        results += _key_min_entropies(n, p, [_parity_set(n, words) for words in chunk])
+        results += _key_min_entropies(n, p, *_parity_picks(n, chunk))
     return results
 
 

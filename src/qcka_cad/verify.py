@@ -7,7 +7,10 @@ Philox stream per configuration from ``seeds.spawn(len(configs))``.
 Every check hands a batched ``ghzsim`` kernel stacked inputs built in
 bulk: random states drawn a block per generator call, parity sets as
 sorted word indices, and for each p the whole family of 2^(p+1) GHZ
-basis states as one array.
+basis states as one array.  The parity sets are those that
+``rng.integers(1, 2**n + 1)`` and ``rng.choice(2**n, size, replace=False)``
+would draw, set after set, but decoded from one block of raw Philox words
+in a Python loop, which skips the two calls' per-call overhead.
 A check that raises surfaces as :class:`CheckError`, never as a pass, and
 a NaN among the values a check folds makes it FAIL with a NaN margin.
 """
@@ -60,14 +63,16 @@ def _check(name: str):
     return decorate
 
 
-def _fold(fold, worst: float, values) -> float:
-    """``fold`` (max or min) of worst and values, NaN if any of them is NaN.
+def _fold(pick, worst: float, values) -> float:
+    """The max or min of worst and values, as ``pick`` (``np.argmax`` or
+    ``np.argmin``) finds it: NaN if any of them is NaN.
 
-    Python's max and min skip a NaN, which would let a NaN result pass;
-    ties keep the first value, as the plain fold does.
+    Python's max and min skip a NaN, which would let a NaN result pass.
+    ``pick`` returns the first NaN, else the first of tied values (0.0 and
+    -0.0 tie), as the plain fold does; ``np.max`` and ``np.min`` need not.
     """
-    values = [worst, *values]
-    return math.nan if any(math.isnan(v) for v in values) else fold(values)
+    values = np.append(worst, values)
+    return float(values[pick(values)])
 
 
 def _ghz_labels(p: int) -> tuple:
@@ -88,7 +93,7 @@ def check_parity_exact():
         words, ys = _ghz_labels(p)
         dist = ghzsim.x_basis_parity_distributions(ghzsim.ghz_states(p, words, ys))
         rows = np.arange(len(ys))
-        worst = _fold(max, worst, [*np.abs(dist[rows, ys] - 1.0), *dist[rows, 1 - ys]])
+        worst = _fold(np.argmax, worst, (np.abs(dist[rows, ys] - 1.0), dist[rows, 1 - ys]))
     return (worst <= 1e-12, worst,
             "max deviation of the announced parity from the phase bit")
 
@@ -99,7 +104,7 @@ def check_orthonormality():
     for p in (1, 2, 3):
         basis = ghzsim.ghz_states(p, *_ghz_labels(p))
         gram = basis.conj() @ basis.T
-        worst = _fold(max, worst, np.abs(np.abs(gram) - np.eye(len(basis))).ravel())
+        worst = _fold(np.argmax, worst, np.abs(np.abs(gram) - np.eye(len(basis))))
     return (worst <= 1e-10, worst,
             "max deviation of pairwise inner products from identity")
 
@@ -117,15 +122,61 @@ def check_sieve_equivalence(seeds: np.random.SeedSequence, trials: int):
     worst = 0.0
     for (p, rounds), rng in zip(configs, _streams(seeds, len(configs))):
         for states in ghzsim.random_pure_states(2 * rounds * (p + 1), trials, rng):
-            worst = _fold(max, worst, ghzsim.cad_delayed_measurement_distances(p, rounds, states))
+            worst = _fold(np.argmax, worst,
+                          ghzsim.cad_delayed_measurement_distances(p, rounds, states))
     return (worst <= 1e-9, worst,
             f"max TV distance over {trials} random states per config")
 
 
-def _parity_words(n: int, rng: np.random.Generator) -> list:
-    """A random non-empty set of n-bit words, as sorted word indices."""
-    size = int(rng.integers(1, 2**n + 1))
-    return sorted(rng.choice(2**n, size=size, replace=False).tolist())
+def _halves(bits: np.random.BitGenerator, count: int):
+    """The 32-bit halves of raw words, low half first, ``count`` words a block."""
+    while True:
+        raw = bits.random_raw(count)
+        yield from np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel().tolist()
+
+
+def _parity_sets(n: int, trials: int, rng: np.random.Generator) -> list:
+    """``trials`` random non-empty sets of n-bit words, as sorted word indices.
+
+    Set i is ``sorted(rng.choice(2**n, size, replace=False))`` with
+    ``size = rng.integers(1, 2**n + 1)``, as the i-th pair of those calls
+    on ``rng`` would draw it, decoded from ``random_raw`` words as numpy
+    consumes them: 32-bit halves, low half first, for one Lemire bounded
+    draw each; the size; Floyd's algorithm over ``2**n - size .. 2**n - 1``;
+    then choice's shuffle, whose draws are consumed but whose order the
+    sort throws away.
+
+    It draws ``trials * 2**n`` words at a time, at least as many as the
+    sets use unless a draw is rejected, so it leaves ``rng`` past the words
+    it used: hand it only a fresh Philox generator that draws nothing else,
+    as each config's stream in :func:`check_key_min_entropy` is.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox) or bits.state["has_uint32"]:
+        raise ValueError("need a Philox generator that holds no buffered 32-bit half")
+    half = _halves(bits, trials << n).__next__
+    everything = 1 << n
+    thresholds = [(1 << 32) % (top + 1) for top in range(everything)]
+
+    def below(top: int) -> int:
+        """Lemire's bounded draw in [0, top], rejecting a biased product."""
+        product = half() * (top + 1)
+        while product & 0xFFFFFFFF < thresholds[top]:
+            product = half() * (top + 1)
+        return product >> 32
+
+    sets = []
+    for _ in range(trials):
+        size = 1 + below(everything - 1)
+        chosen = set()
+        for top in range(everything - size, everything):
+            pick = below(top) if top else 0  # a draw in [0, 0] takes no bits
+            chosen.add(top if pick in chosen else pick)
+        for top in range(size - 1, 0, -1):  # the shuffle: draw until accepted
+            while half() * (top + 1) & 0xFFFFFFFF < thresholds[top]:
+                pass
+        sets.append(sorted(chosen))
+    return sets
 
 
 @_check("key-min-entropy")
@@ -133,9 +184,8 @@ def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
     configs = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))  # (n, p)
     worst = math.inf
     for (n, p), rng in zip(configs, _streams(seeds, len(configs))):
-        word_sets = [_parity_words(n, rng) for _ in range(trials)]
-        results = ghzsim.key_min_entropy_checks(n, p, word_sets)
-        worst = _fold(min, worst, [hmin - bound for hmin, bound in results])
+        results = ghzsim.key_min_entropy_checks(n, p, _parity_sets(n, trials, rng))
+        worst = _fold(np.argmin, worst, [hmin - bound for hmin, bound in results])
     return (worst >= -1e-9, worst,
             f"min (hmin - bound) over {trials} random parity sets per config")
 
@@ -158,7 +208,7 @@ def check_sampling_exhaustive(seeds: np.random.SeedSequence):
             bound = _sampling_bound(n_pop, m, delta)
             for q in words:
                 fail = sampling.empirical_sampling_failure(q, m, delta)
-                worst = _fold(min, worst, [bound - fail])
+                worst = _fold(np.argmin, worst, [bound - fail])
     n_pop, m, delta = 200, 50, 0.25
     bound = _sampling_bound(n_pop, m, delta)
     margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
@@ -176,7 +226,7 @@ def check_sampling_roundtrip():
                 delta = sampling.delta_from_epsilon(n_pop, m, eps)
                 log_bound = sampling.sampling_failure_log(n_pop, m, delta)
                 target = 2.0 * math.log(eps)
-                worst = _fold(max, worst, [abs(log_bound - target) / abs(target)])
+                worst = _fold(np.argmax, worst, [abs(log_bound - target) / abs(target)])
     return worst <= 1e-12, worst, "max relative log-space error of the delta inverse"
 
 

@@ -134,6 +134,56 @@ GOLDEN_SELFTEST_SEED_8_QUICK_JSON = """\
 """
 
 
+# The full battery in JSON at seeds 1, 3 and 77: the three print the same
+# bytes, every margin at full precision.
+GOLDEN_SELFTEST_SEEDS_1_3_77_JSON = """\
+[
+  {
+    "name": "ghz-parity-exact",
+    "status": "PASS",
+    "margin": 6.661338147750939e-16,
+    "detail": "max deviation of the announced parity from the phase bit"
+  },
+  {
+    "name": "ghz-orthonormality",
+    "status": "PASS",
+    "margin": 2.220446049250313e-16,
+    "detail": "max deviation of pairwise inner products from identity"
+  },
+  {
+    "name": "hadamard-expansion",
+    "status": "PASS",
+    "margin": 0.0,
+    "detail": "GHZ states failing the all-Hadamard expansion identity"
+  },
+  {
+    "name": "sieve-equivalence",
+    "status": "PASS",
+    "margin": 0.0,
+    "detail": "max TV distance over 200 random states per config"
+  },
+  {
+    "name": "key-min-entropy",
+    "status": "PASS",
+    "margin": -4.440892098500626e-16,
+    "detail": "min (hmin - bound) over 100 random parity sets per config"
+  },
+  {
+    "name": "sampling-exhaustive",
+    "status": "PASS",
+    "margin": 0.4307692307692308,
+    "detail": "min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25"
+  },
+  {
+    "name": "sampling-roundtrip",
+    "status": "PASS",
+    "margin": 1.7143599405391772e-16,
+    "detail": "max relative log-space error of the delta inverse"
+  }
+]
+"""
+
+
 # `rate` and `sweep-n` stdout, byte for byte: the README examples, a fixed
 # test size under the independent error formula, and a zero-rate run.
 GOLDEN_RATE_README_CSV = """\
@@ -599,6 +649,11 @@ class TestSelftest:
         argv = ("selftest", "--seed", "8", "--quick", "--format", "json")
         assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEED_8_QUICK_JSON, "")
 
+    @pytest.mark.parametrize("seed", ["1", "3", "77"])
+    def test_full_json_stdout_is_pinned_at_more_seeds(self, capsys, seed):
+        argv = ("selftest", "--seed", seed, "--format", "json")
+        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEEDS_1_3_77_JSON, "")
+
 
     # The battery runs the batched kernels; each id names the single-state
     # kernel that is their batch of one.
@@ -655,6 +710,17 @@ class TestSelftest:
         result = run_check()
         assert result.status == "FAIL"
         assert math.isnan(result.margin)
+
+    def test_fold_keeps_the_first_of_tied_zeros(self):
+        rng = np.random.default_rng(4)
+        mixed = np.where(rng.random(1000) < 0.5, -0.0, 0.0)
+        for worst, values in ((0.0, [-0.0]), (-0.0, [0.0]), (math.inf, [0.0, -0.0]),
+                              (math.inf, [-0.0, 0.0]), (0.0, mixed), (-0.0, mixed)):
+            for pick, fold in ((np.argmax, max), (np.argmin, min)):
+                got, expect = verify._fold(pick, worst, values), fold([worst, *values])
+                assert (got, math.copysign(1.0, got)) == (expect, math.copysign(1.0, expect))
+        assert math.isnan(verify._fold(np.argmin, 1.0, [0.5, math.nan, -1.0]))
+        assert math.isnan(verify._fold(np.argmax, math.nan, mixed))
 
 
 class TestReproducibility:

@@ -326,7 +326,7 @@ class TestBatchedKernels:
     @pytest.mark.parametrize("p, rounds", [(1, 1), (2, 1), (1, 2)])
     def test_sieve_batches_match_batch_of_one(self, p, rounds):
         blocks = rounds * (p + 1)
-        chunk = ghzsim._chunk_size(16 << (2 * blocks))  # the norm check's copy
+        chunk = ghzsim._chunk_size(16 << (2 * blocks))  # the sieve's complex rows
         rng = np.random.default_rng(100 * p + rounds)
         states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
         stacked = np.stack([s.amplitudes for s in states])
@@ -368,7 +368,7 @@ class TestBatchedKernels:
             nbytes = 16 << qubits
             size = ghzsim._chunk_size(nbytes)
             assert size >= 1 and (size == 1 or size * nbytes <= ghzsim._CHUNK_BYTES)
-        assert ghzsim._chunk_size(16 << 8) == 128  # the (1, 2) sieve's norm-check copy
+        assert ghzsim._chunk_size(16 << 8) == 128  # the (1, 2) sieve's complex rows
 
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
                                       (4, 1), (3, 2)])
@@ -635,6 +635,83 @@ class TestBatteryMatchesSingleInputs:
             assert results == singles
             worst = min(worst, *(hmin - bound for hmin, bound in singles))
         assert result.margin == worst
+
+
+def _numpy_parity_sets(n, trials, rng):
+    """The battery's parity sets as numpy's own calls draw them."""
+    sets = []
+    for _ in range(trials):
+        size = int(rng.integers(1, 2**n + 1))
+        sets.append(sorted(rng.choice(2**n, size=size, replace=False).tolist()))
+    return sets
+
+
+def _crafted_philox(halves):
+    """A Philox generator whose next raw words hold ``halves``, low half first."""
+    bits = np.random.Philox(5)
+    state = bits.state
+    state["buffer"] = np.array([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])],
+                               dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bits.state = state
+    return np.random.Generator(bits)
+
+
+class TestParitySetDecoder:
+    """The battery's parity sets, decoded from raw words, equal numpy's calls."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_numpy_calls(self, n):
+        full = 0
+        for seed in range(200):
+            decoded = verify._parity_sets(n, 100, np.random.Generator(np.random.Philox(seed)))
+            assert decoded == _numpy_parity_sets(n, 100, np.random.Generator(np.random.Philox(seed)))
+            full += decoded.count(list(range(2**n)))
+        assert full > 0  # sets of size 2**n, whose first Floyd step draws nothing
+
+    def test_lemire_rejections(self):
+        # A half of 0 is rejected for every range that is not a power of two.
+        # n = 2 and size 3: Floyd draws in [0, 1], [0, 2], [0, 3], then the
+        # shuffle in [0, 2] and [0, 1]; the zeros fall on the two [0, 2] draws.
+        halves = [0x80000000,  # size 3
+                  0x80000000, 0, 0xC0000000, 0x40000000,  # Floyd: 1, rejected, 2, 3
+                  0, 0x12345678, 0xFFFFFFFF]  # shuffle: rejected, 0, 1
+        rng = _crafted_philox(halves)
+        expect = _numpy_parity_sets(2, 1, rng)
+        assert expect == [[1, 2, 3]]
+        state = rng.bit_generator.state
+        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)  # all eight halves read
+        expect += _numpy_parity_sets(2, 2, rng)
+        assert verify._parity_sets(2, 3, _crafted_philox(halves)) == expect
+
+    def test_refuses_a_used_or_other_generator(self):
+        rng = np.random.Generator(np.random.Philox(1))
+        rng.integers(0, 3)  # leaves the high half of a word buffered
+        for other in (rng, np.random.default_rng(1)):
+            with pytest.raises(ValueError, match="buffered 32-bit half"):
+                verify._parity_sets(2, 1, other)
+
+    @pytest.mark.parametrize("bad, first", [
+        ([0, 4], 4), ([-1], -1), ([], None), (["0"], "0"), ([0.0], 0.0),
+        ([np.True_], np.True_), ([np.array(1)], np.array(1)), ([1, 2**70], 2**70),
+        ([5, "x"], 5), ([np.uint64(2**64 - 1)], np.uint64(2**64 - 1)),
+    ], ids=repr)
+    def test_bad_set_in_a_later_chunk(self, bad, first):
+        n, p = 2, 2
+        message = ("empty parity-word set" if first is None
+                   else f"word index {first!r} is not an integer in [0, 2**{n})")
+        chunk = ghzsim._chunk_size(16 << (n * (p + 1)))
+        sets = [[0, 3]] * (chunk + 1) + [bad, [1]]
+        for call in (lambda: key_min_entropy_check(n, p, bad),
+                     lambda: key_min_entropy_checks(n, p, sets)):
+            with pytest.raises(ValueError) as raised:
+                call()
+            assert str(raised.value) == message
+
+    def test_integer_types_mix(self):
+        words = [np.uint64(1), np.int64(2), True, np.uint8(1)]
+        assert key_min_entropy_checks(2, 1, [words, [3]]) == [
+            key_min_entropy_check(2, 1, [1, 2]), key_min_entropy_check(2, 1, [3])]
 
 
 def _spy(monkeypatch, name, consume=None):
