@@ -30,9 +30,9 @@ block; row norms are batched BLAS dots, bit for bit ``np.linalg.norm``.  The
 sieve and min-entropy kernels slice their inputs into chunks whose largest
 temporary (the chunk's rows as complex amplitudes) stays within 512 KiB, and
 the min-entropy kernel checks each chunk of parity sets with array
-operations.  The sieve's delayed-order CNOT circuit runs on indices once
-per layout, into a read-only map that gives each (Left, parity) cell its one
-amplitude, so a delayed table is one gather; the min-entropy head vectors
+operations.  Each sieve order has a read-only cell map, built once per
+layout (the delayed one by running its CNOTs on indices), so both tables
+are gathers from one square of each chunk; the min-entropy head vectors
 are also built once per layout.  States are dense complex vectors with a
 hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per vector), checked
 before anything is allocated; within a GHZ block, qubit 1 belongs to the
@@ -217,6 +217,8 @@ def random_pure_states(qubit_count: int, count: int, rng: np.random.Generator):
     if qubit_count < 1:
         raise ValueError("need at least one qubit")
     _check_cap(qubit_count)
+    if count < 0:
+        raise ValueError(f"state count {count} is negative")
     # A block's draws and its rows take 32 << k bytes per state; the block
     # size stays the one a 48 << k budget gives.
     size = _chunk_size(48 << qubit_count)
@@ -327,8 +329,8 @@ def _chunks(items: Sequence, size: int):
 # axis b on the Left, axis r(p+1) + b on the Right and axis 2r(p+1) + b
 # for its ancilla, and bit blocks-1-b of a packed Left or parity word.
 #
-# The delayed circuit depends only on the layout, so its cell map is built
-# once per layout (a handful, bounded by the qubit cap) and kept read-only.
+# Each order's cell map depends only on the layout, so it is built once per
+# layout (a handful, bounded by the qubit cap) and kept read-only.
 
 
 def _apply_cnot(a: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -358,18 +360,6 @@ def _delayed_sources(blocks: int) -> np.ndarray:
     return sources.reshape((1 << blocks,) * 3)
 
 
-def _direct_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
-    """Joint tables ``P[state, Left bits, parity bits]`` when every qubit is
-    measured in Z and each parity is XOR-ed classically:
-    ``P[l, l ^ r] = |psi[l, r]|^2``."""
-    count, size = len(amps), 1 << blocks
-    probs = np.abs(amps.reshape(count, size, size)) ** 2
-    left = np.arange(size)[:, None]
-    table = np.empty_like(probs)
-    table[:, left, left ^ np.arange(size)] = probs
-    return table
-
-
 def _cell_map(sources: np.ndarray) -> np.ndarray:
     """The one source in each ``[Left, ancilla]`` cell of ``_delayed_sources``."""
     live = sources != len(sources) ** 2
@@ -386,30 +376,35 @@ def _delayed_cells(blocks: int) -> np.ndarray:
     return _cell_map(_delayed_sources(blocks))
 
 
-def _delayed_tables(blocks: int, amps: np.ndarray) -> np.ndarray:
-    """Joint tables ``P[state, Left bits, parity bits]`` when two CNOTs per
-    block write each parity onto an ancilla before anything is measured."""
-    system = 2 * blocks
-    _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
-    # The circuit only moves amplitudes, so moving the squared moduli gives
-    # the register's measurement distribution; each cell receives one.
-    return (np.abs(amps) ** 2)[:, _delayed_cells(blocks)]
+@functools.lru_cache(maxsize=None)
+def _direct_cells(blocks: int) -> np.ndarray:
+    """The system amplitude in each cell of the direct table, where each
+    parity is XOR-ed after measurement: ``P[l, l ^ r] = |psi[l, r]|^2``."""
+    left = np.arange(1 << blocks)[:, None]
+    cells = (left << blocks) | (left ^ np.arange(1 << blocks))
+    cells.setflags(write=False)
+    return cells
 
 
 def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -> np.ndarray:
     """:func:`cad_delayed_measurement_equivalence` for each row of the 2-D
     amplitude array ``states``, in row order."""
     blocks = rounds * (p + 1)
+    system = 2 * blocks
+    _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
+    # Each cell of either table receives one squared modulus.
+    direct, delayed = _direct_cells(blocks), _delayed_cells(blocks)
     distances = [np.zeros(0)]
     # 16 bytes per amplitude: the chunk's rows as complex amplitudes, a copy
     # unless they are complex128 already.  Each float table is half that.
-    for chunk in _chunks(states, _chunk_size(16 << (2 * blocks))):
-        amps = _stacked(chunk)
-        if amps.shape[1] != 1 << (2 * blocks):
-            raise ValueError(f"state has {_qubits(amps.shape[1])} qubits, "
-                             f"sieve layout needs {2 * blocks}")
-        gap = _direct_tables(blocks, amps) - _delayed_tables(blocks, amps)
-        distances.append(0.5 * np.abs(gap).sum(axis=(1, 2)))
+    for chunk in _chunks(states, _chunk_size(16 << system)):
+        probs = np.abs(_stacked(chunk)) ** 2
+        if probs.shape[1] != 1 << system:
+            raise ValueError(f"state has {_qubits(probs.shape[1])} qubits, "
+                             f"sieve layout needs {system}")
+        gap = np.take(probs, direct, axis=1)
+        gap -= np.take(probs, delayed, axis=1)
+        distances.append(0.5 * np.abs(gap, out=gap).sum(axis=(1, 2)))
     return np.concatenate(distances)
 
 

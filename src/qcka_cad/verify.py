@@ -5,9 +5,9 @@ acceptance suite calls the same checks with its own pinned seeds.  A
 randomised check takes a fresh ``np.random.SeedSequence`` and draws one
 Philox stream per configuration from ``seeds.spawn(len(configs))``.
 Every check hands a batched ``ghzsim`` kernel stacked inputs built in
-bulk: random states drawn a block per generator call, parity sets as
-sorted word indices, and for each p the whole family of 2^(p+1) GHZ
-basis states as one array.  The parity sets are those that
+bulk: each sieve layout's computational basis states as identity rows,
+parity sets as sorted word indices, and for each p the whole family of
+2^(p+1) GHZ basis states as one array.  The parity sets are those that
 ``rng.integers(1, 2**n + 1)`` and ``rng.choice(2**n, size, replace=False)``
 would draw, set after set, but decoded from one block of raw Philox words
 in a Python loop, which skips the two calls' per-call overhead.
@@ -82,10 +82,6 @@ def _ghz_labels(p: int) -> tuple:
     return labels >> 1, labels & 1
 
 
-def _streams(seeds: np.random.SeedSequence, count: int) -> list:
-    return [np.random.Generator(np.random.Philox(child)) for child in seeds.spawn(count)]
-
-
 @_check("ghz-parity-exact")
 def check_parity_exact():
     worst = 0.0
@@ -117,15 +113,17 @@ def check_expansion():
 
 
 @_check("sieve-equivalence")
-def check_sieve_equivalence(seeds: np.random.SeedSequence, trials: int):
-    configs = ((1, 1), (2, 1), (1, 2))  # (p, rounds)
+def check_sieve_equivalence():
+    """The largest TV distance between the sieve orders over every state:
+    each order's table is a gather of p = |psi|^2 through a fixed cell map,
+    so the distance is convex in p and peaks at a vertex of the simplex, a
+    computational basis state."""
     worst = 0.0
-    for (p, rounds), rng in zip(configs, _streams(seeds, len(configs))):
-        for states in ghzsim.random_pure_states(2 * rounds * (p + 1), trials, rng):
-            worst = _fold(np.argmax, worst,
-                          ghzsim.cad_delayed_measurement_distances(p, rounds, states))
+    for p, rounds in ((1, 1), (2, 1), (1, 2)):
+        basis = np.eye(1 << (2 * rounds * (p + 1)), dtype=np.complex128)
+        worst = _fold(np.argmax, worst, ghzsim.cad_delayed_measurement_distances(p, rounds, basis))
     return (worst <= 1e-9, worst,
-            f"max TV distance over {trials} random states per config")
+            "max TV distance over every state: exact on the 16/64/256 basis states per config")
 
 
 def _halves(bits: np.random.BitGenerator, count: int):
@@ -181,9 +179,14 @@ def _parity_sets(n: int, trials: int, rng: np.random.Generator) -> list:
 
 @_check("key-min-entropy")
 def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
+    """The least hmin - (n - log2|J|) over random parity sets J.  The bound
+    is tight: P(x) is proportional to |sum_{y in J} (-1)^(x.y)|^2, which
+    peaks at x = 0, where every phase adds, so the margin reads rounding
+    alone: -4.440892e-16 at n = 3, p = 1 on some five-word sets."""
     configs = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))  # (n, p)
     worst = math.inf
-    for (n, p), rng in zip(configs, _streams(seeds, len(configs))):
+    for (n, p), child in zip(configs, seeds.spawn(len(configs))):
+        rng = np.random.Generator(np.random.Philox(child))
         results = ghzsim.key_min_entropy_checks(n, p, _parity_sets(n, trials, rng))
         worst = _fold(np.argmin, worst, [hmin - bound for hmin, bound in results])
     return (worst >= -1e-9, worst,
@@ -232,13 +235,13 @@ def check_sampling_roundtrip():
 
 def selftest_checks(seed: int = 0, quick: bool = False) -> list:
     """Run the battery: one result per check, or :class:`CheckError`."""
-    seeds = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in (1, 2, 3)]
+    seeds = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in (2, 3)]
     return [
         check_parity_exact(),
         check_orthonormality(),
         check_expansion(),
-        check_sieve_equivalence(seeds[0], 10 if quick else 200),
-        check_key_min_entropy(seeds[1], 10 if quick else 100),
-        check_sampling_exhaustive(seeds[2]),
+        check_sieve_equivalence(),
+        check_key_min_entropy(seeds[0], 10 if quick else 100),
+        check_sampling_exhaustive(seeds[1]),
         check_sampling_roundtrip(),
     ]

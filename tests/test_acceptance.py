@@ -55,12 +55,12 @@ def test_criterion_1_parity_exactness():
 def test_criterion_2_delayed_measurement_equivalence():
     """Direct and delayed sieve measurements produce the same records."""
     start = time.perf_counter()
-    result = check_sieve_equivalence(np.random.SeedSequence(20), 200)
+    result = check_sieve_equivalence()
     elapsed = time.perf_counter() - start
     worst = result.margin
     ok = result.status == "PASS" and worst <= 1e-9 and elapsed < 60.0
     _emit(2, ok, "delayed-measurement equivalence",
-          f"max TV {worst:.3e} <= 1e-9 over 200 states/config, runtime {elapsed:.1f}s < 60s")
+          f"max TV {worst:.3e} <= 1e-9 over every state, runtime {elapsed:.1f}s < 60s")
     assert result.status == "PASS"
     assert worst <= 1e-9
     assert elapsed < 60.0

@@ -33,7 +33,7 @@ GOLDEN_SELFTEST_SEED_0 = (
     "PASS ghz-parity-exact margin=6.661338e-16  (max deviation of the announced parity from the phase bit)\n"
     "PASS ghz-orthonormality margin=2.220446e-16  (max deviation of pairwise inner products from identity)\n"
     "PASS hadamard-expansion margin=0.000000e+00  (GHZ states failing the all-Hadamard expansion identity)\n"
-    "PASS sieve-equivalence margin=0.000000e+00  (max TV distance over 200 random states per config)\n"
+    "PASS sieve-equivalence margin=0.000000e+00  (max TV distance over every state: exact on the 16/64/256 basis states per config)\n"
     "PASS key-min-entropy margin=-4.440892e-16  (min (hmin - bound) over 100 random parity sets per config)\n"
     "PASS sampling-exhaustive margin=4.307692e-01  (min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25)\n"
     "PASS sampling-roundtrip margin=1.714360e-16  (max relative log-space error of the delta inverse)\n"
@@ -63,7 +63,7 @@ GOLDEN_SELFTEST_SEED_12345_JSON = """\
     "name": "sieve-equivalence",
     "status": "PASS",
     "margin": 0.0,
-    "detail": "max TV distance over 200 random states per config"
+    "detail": "max TV distance over every state: exact on the 16/64/256 basis states per config"
   },
   {
     "name": "key-min-entropy",
@@ -110,7 +110,7 @@ GOLDEN_SELFTEST_SEED_8_QUICK_JSON = """\
     "name": "sieve-equivalence",
     "status": "PASS",
     "margin": 0.0,
-    "detail": "max TV distance over 10 random states per config"
+    "detail": "max TV distance over every state: exact on the 16/64/256 basis states per config"
   },
   {
     "name": "key-min-entropy",
@@ -160,7 +160,7 @@ GOLDEN_SELFTEST_SEEDS_1_3_77_JSON = """\
     "name": "sieve-equivalence",
     "status": "PASS",
     "margin": 0.0,
-    "detail": "max TV distance over 200 random states per config"
+    "detail": "max TV distance over every state: exact on the 16/64/256 basis states per config"
   },
   {
     "name": "key-min-entropy",
@@ -653,6 +653,13 @@ class TestSelftest:
     def test_full_json_stdout_is_pinned_at_more_seeds(self, capsys, seed):
         argv = ("selftest", "--seed", seed, "--format", "json")
         assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEEDS_1_3_77_JSON, "")
+
+    def test_sieve_line_ignores_seed_and_quick(self, capsys):
+        # The sieve check is exact over every state, so it draws nothing.
+        sieve = GOLDEN_SELFTEST_SEED_0.splitlines()[3]
+        for argv in (("--seed", "1"), ("--seed", "77", "--quick"), ("--quick",)):
+            code, out, _ = run_cli(capsys, "selftest", *argv)
+            assert (code, out.splitlines()[3]) == (EXIT_OK, sieve)
 
 
     # The battery runs the batched kernels; each id names the single-state

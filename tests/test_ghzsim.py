@@ -239,8 +239,8 @@ class TestSieveEquivalence:
                 for idx, prob in enumerate(probs):
                     left, right = idx >> blocks, idx & (size - 1)
                     expect[left, left ^ right] = prob
-                for tables in (ghzsim._direct_tables, ghzsim._delayed_tables):
-                    assert np.array_equal(tables(blocks, state.amplitudes[None])[0], expect)
+                for cells in (ghzsim._direct_cells, ghzsim._delayed_cells):
+                    assert np.array_equal(probs[cells(blocks)], expect)
 
     def test_layout_validation(self):
         state = ghz_state(1, 0, 0)
@@ -258,7 +258,7 @@ class TestSieveEquivalence:
         padded[:, :-1] = np.abs(amps) ** 2
         probs = padded[:, ghzsim._delayed_sources(blocks).ravel()]
         expect = probs.reshape(count, size, size, size).sum(axis=2)
-        assert np.array_equal(ghzsim._delayed_tables(blocks, amps), expect)
+        assert np.array_equal((np.abs(amps) ** 2)[:, ghzsim._delayed_cells(blocks)], expect)
 
     def test_cell_map_needs_one_source_per_cell(self):
         sources = ghzsim._delayed_sources(2).copy()
@@ -309,6 +309,20 @@ class TestKeyMinEntropy:
                 hmin, bound = key_min_entropy_check(n, p, sorted(picks))
                 assert hmin >= bound - 1e-9
 
+    def test_bound_is_tight_on_every_set(self):
+        # P(x) is proportional to |sum_{y in J} (-1)^(x.y)|^2, which peaks at
+        # x = 0 where every phase adds: hmin = n - log2|J| up to rounding.
+        count, worst = 0, {}
+        for n in (1, 2, 3):
+            sets = [list(itertools.compress(range(2**n), keep))
+                    for keep in itertools.product((0, 1), repeat=2**n) if any(keep)]
+            for p in (1, 2):
+                gaps = [hmin - bound for hmin, bound in key_min_entropy_checks(n, p, sets)]
+                assert max(map(abs, gaps)) <= 1e-15
+                count, worst[n, p] = count + len(gaps), min(gaps)
+        assert count == 546
+        assert worst[3, 1] == -4.440892098500626e-16
+
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
             key_min_entropy_check(2, 1, [])
@@ -330,10 +344,10 @@ class TestBatchedKernels:
         rng = np.random.default_rng(100 * p + rounds)
         states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
         stacked = np.stack([s.amplitudes for s in states])
-        for tables in (ghzsim._direct_tables, ghzsim._delayed_tables):
-            single = [tables(blocks, s.amplitudes[None])[0] for s in states]
+        for cells in (ghzsim._direct_cells(blocks), ghzsim._delayed_cells(blocks)):
+            single = [(np.abs(s.amplitudes) ** 2)[cells] for s in states]
             for count in (1, chunk, chunk + 1):
-                batch = tables(blocks, stacked[:count])
+                batch = np.take(np.abs(stacked[:count]) ** 2, cells, axis=1)
                 assert batch.shape == (count, 1 << blocks, 1 << blocks)
                 assert all(np.array_equal(b, s) for b, s in zip(batch, single))
         single = [cad_delayed_measurement_equivalence(p, rounds, s) for s in states]
@@ -359,7 +373,8 @@ class TestBatchedKernels:
         assert key_min_entropy_checks(2, 1, []) == []
 
     def test_cached_tables_are_read_only(self):
-        for table in (ghzsim._delayed_cells(4), ghzsim._head_vectors(3)):
+        for table in (ghzsim._direct_cells(4), ghzsim._delayed_cells(4),
+                      ghzsim._head_vectors(3)):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -460,6 +475,8 @@ class TestBulkInputs:
     def test_draw_arguments_checked(self):
         rng = np.random.default_rng(0)
         assert list(ghzsim.random_pure_states(3, 0, rng)) == []
+        with pytest.raises(ValueError, match="state count -1 is negative"):
+            ghzsim.random_pure_states(3, -1, rng)
         with pytest.raises(ValueError, match="at least one qubit"):
             ghzsim.random_pure_states(0, 1, rng)
         with pytest.raises(ValueError, match="cap"):
@@ -594,25 +611,37 @@ class TestBatteryMatchesSingleInputs:
         assert verify.check_expansion().margin == failing == 0
 
     def test_sieve_equivalence(self, monkeypatch):
-        trials = ghzsim._chunk_size(48 << 8) + 2  # crosses a draw block at 8 qubits
         seen = _spy(monkeypatch, "cad_delayed_measurement_distances")
-        result = verify.check_sieve_equivalence(np.random.SeedSequence(5), trials)
-        worst = 0.0
+        result = verify.check_sieve_equivalence()
         configs = ((1, 1), (2, 1), (1, 2))
-        assert [args[:2] for args, _ in seen] == [(1, 1), (2, 1), (1, 2), (1, 2)]
-        assert [len(args[2]) for args, _ in seen][-2:] == [trials - 2, 2]
-        for (p, rounds), child in zip(configs, np.random.SeedSequence(5).spawn(3)):
-            rng = np.random.Generator(np.random.Philox(child))
-            states = [_reference_draw(2 * rounds * (p + 1), rng) for _ in range(trials)]
-            calls = [call for call in seen if call[0][:2] == (p, rounds)]
-            assert np.array_equal(np.concatenate([args[2] for args, _ in calls]), np.stack(states))
-            distances = np.concatenate([result for _, result in calls])
-            singles = [cad_delayed_measurement_equivalence(p, rounds, StateVector(s))
-                       for s in states]
+        assert [args[:2] for args, _ in seen] == list(configs)
+        worst = 0.0
+        for (p, rounds), (args, distances) in zip(configs, seen):
+            basis = np.eye(1 << (2 * rounds * (p + 1)))
+            assert np.array_equal(args[2], basis)
+            singles = [cad_delayed_measurement_equivalence(p, rounds, StateVector(row))
+                       for row in basis]
             assert distances.tolist() == singles
             worst = max(worst, *singles)
-        assert result.margin == worst
-        assert result.detail == f"max TV distance over {trials} random states per config"
+        assert result.margin == worst == 0.0
+        assert result.detail == ("max TV distance over every state: "
+                                 "exact on the 16/64/256 basis states per config")
+
+    def test_sieve_equivalence_catches_two_swapped_cells(self, monkeypatch):
+        # The basis state that feeds a swapped cell lands whole in another
+        # cell of one table: TV 1, the largest there is.
+        original = ghzsim._delayed_cells
+
+        def swapped(blocks):
+            cells = original(blocks)
+            if blocks == 3:
+                cells = cells.copy()
+                cells[5, [2, 6]] = cells[5, [6, 2]]
+            return cells
+
+        monkeypatch.setattr(ghzsim, "_delayed_cells", swapped)
+        result = verify.check_sieve_equivalence()
+        assert (result.status, result.margin) == ("FAIL", 1.0)
 
     def test_key_min_entropy(self, monkeypatch):
         trials = 12
