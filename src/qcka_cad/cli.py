@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -468,12 +469,26 @@ def _check_args(args: argparse.Namespace) -> None:
             raise _CliError(f"{flag} needs 1 or {bobs} values, got {len(values)}")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def _parse(argv) -> argparse.Namespace:
+    # A parser is cyclic garbage once parsed (argparse links each action to
+    # its group and back).  Parsed with the collector paused, it dies young,
+    # and a minor collection frees it rather than a full one.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.config:
             _apply_config(args.parser, args, args.config)
+        del args.parser
+        return args
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse(argv)
         _check_args(args)
         return args.func(args)
     except (_CliError, ValueError, OSError) as exc:

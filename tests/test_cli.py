@@ -1,11 +1,14 @@
 """Tests for the command-line front end: schemas, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -762,6 +765,47 @@ class TestReproducibility:
 
 
 RATE_ARGV = ("rate", "--p", "1", "--signals", "1e6", "--q", "0.1", "--qz", "0.1")
+
+
+class TestParserGarbage:
+    """A call's parser, cyclic garbage once parsed, dies in the youngest generation."""
+
+    def test_no_collection_outlives_the_parser(self, capsys, monkeypatch):
+        refs, survived = [], []
+        init = cli._Parser.__init__
+
+        def tracked_init(self, *args, **kwargs):  # the top parser and each command's
+            init(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+
+        def watch(phase, info):
+            if phase == "stop" and any(ref() is not None for ref in refs):
+                survived.append(info["generation"])
+
+        monkeypatch.setattr(cli._Parser, "__init__", tracked_init)
+        threshold = gc.get_threshold()
+        gc.set_threshold(1, 1, 1)  # collect at almost every allocation
+        gc.callbacks.append(watch)
+        try:
+            code, _, _ = run_cli(capsys, *RATE_ARGV)
+        finally:
+            gc.callbacks.remove(watch)
+            gc.set_threshold(*threshold)
+        assert code == EXIT_OK and len(refs) == 6 and all(ref() is None for ref in refs)
+        assert survived == []  # so it was never promoted out of the youngest generation
+
+    @pytest.mark.parametrize("argv", [RATE_ARGV, ("rate", "--nope"), ("rate", "--help")])
+    def test_collector_left_as_found(self, capsys, argv):
+        enabled = gc.isenabled()
+        try:
+            for state in (False, True):
+                (gc.enable if state else gc.disable)()
+                with contextlib.suppress(SystemExit):
+                    main(list(argv))
+                assert gc.isenabled() == state
+        finally:
+            (gc.enable if enabled else gc.disable)()
+        capsys.readouterr()
 
 
 class TestConfigFile:
