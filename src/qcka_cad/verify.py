@@ -1,16 +1,14 @@
 """Verification battery for the facts the security argument rests on.
 
 ``qcka-cad selftest`` runs it through :func:`selftest_checks`; the
-acceptance suite calls the same checks with its own pinned seeds.  A
-randomised check takes a fresh ``np.random.SeedSequence`` and draws one
-Philox stream per configuration from ``seeds.spawn(len(configs))``.
+acceptance suite calls the same checks.  Every check is exact and draws
+nothing, so the battery gives the same result on every run: the sieve
+check compares the two orders' cell maps entry for entry, the
+min-entropy check runs every non-empty parity set at n <= 3 and a fixed
+family at n = 4, and the sampling check takes every weight of a word.
 Every check hands a batched ``ghzsim`` kernel stacked inputs built in
-bulk: each sieve layout's computational basis states as identity rows,
-parity sets as sorted word indices, and for each p the whole family of
-2^(p+1) GHZ basis states as one array.  The parity sets are those that
-``rng.integers(1, 2**n + 1)`` and ``rng.choice(2**n, size, replace=False)``
-would draw, set after set, but decoded from one block of raw Philox words
-in a Python loop, which skips the two calls' per-call overhead.
+bulk: parity sets as sorted word indices, and for each p the whole
+family of 2^(p+1) GHZ basis states as one array.
 A check that raises surfaces as :class:`CheckError`, never as a pass, and
 a NaN among the values a check folds makes it FAIL with a NaN margin.
 """
@@ -18,6 +16,7 @@ a NaN among the values a check folds makes it FAIL with a NaN margin.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -114,83 +113,52 @@ def check_expansion():
 
 @_check("sieve-equivalence")
 def check_sieve_equivalence():
-    """The largest TV distance between the sieve orders over every state:
-    each order's table is a gather of p = |psi|^2 through a fixed cell map,
-    so the distance is convex in p and peaks at a vertex of the simplex, a
-    computational basis state."""
-    worst = 0.0
-    for p, rounds in ((1, 1), (2, 1), (1, 2)):
-        basis = np.eye(1 << (2 * rounds * (p + 1)), dtype=np.complex128)
-        worst = _fold(np.argmax, worst, ghzsim.cad_delayed_measurement_distances(p, rounds, basis))
-    return (worst <= 1e-9, worst,
-            "max TV distance over every state: exact on the 16/64/256 basis states per config")
+    """The largest TV distance between the sieve orders over every state.
+
+    Each order's table is a gather of |psi|^2 through a cell map with one
+    source per cell, so the orders agree on every state if and only if the
+    maps are equal entry for entry; where they differ, the basis state of
+    a mismatched cell lands whole in two different cells, at TV 1."""
+    blocks = (2, 3, 4, 6)  # (p, rounds) = (1, 1), (2, 1), (1, 2); (2, 2) and (1, 3)
+    equal = all(np.array_equal(ghzsim._direct_cells(b), ghzsim._delayed_cells(b)) for b in blocks)
+    return (equal, 0.0 if equal else 1.0,
+            "max TV distance over every state: direct and delayed cell maps "
+            "equal entry for entry at 2/3/4/6 blocks")
 
 
-def _halves(bits: np.random.BitGenerator, count: int):
-    """The 32-bit halves of raw words, low half first, ``count`` words a block."""
-    while True:
-        raw = bits.random_raw(count)
-        yield from np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=1).ravel().tolist()
+def _every_set(n: int) -> list:
+    """Every non-empty set of n-bit words, as sorted word indices."""
+    return [list(itertools.compress(range(1 << n), keep))
+            for keep in itertools.product((0, 1), repeat=1 << n) if any(keep)]
 
 
-def _parity_sets(n: int, trials: int, rng: np.random.Generator) -> list:
-    """``trials`` random non-empty sets of n-bit words, as sorted word indices.
-
-    Set i is ``sorted(rng.choice(2**n, size, replace=False))`` with
-    ``size = rng.integers(1, 2**n + 1)``, as the i-th pair of those calls
-    on ``rng`` would draw it, decoded from ``random_raw`` words as numpy
-    consumes them: 32-bit halves, low half first, for one Lemire bounded
-    draw each; the size; Floyd's algorithm over ``2**n - size .. 2**n - 1``;
-    then choice's shuffle, whose draws are consumed but whose order the
-    sort throws away.
-
-    It draws ``trials * 2**n`` words at a time, at least as many as the
-    sets use unless a draw is rejected, so it leaves ``rng`` past the words
-    it used: hand it only a fresh Philox generator that draws nothing else,
-    as each config's stream in :func:`check_key_min_entropy` is.
-    """
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.Philox) or bits.state["has_uint32"]:
-        raise ValueError("need a Philox generator that holds no buffered 32-bit half")
-    half = _halves(bits, trials << n).__next__
-    everything = 1 << n
-    thresholds = [(1 << 32) % (top + 1) for top in range(everything)]
-
-    def below(top: int) -> int:
-        """Lemire's bounded draw in [0, top], rejecting a biased product."""
-        product = half() * (top + 1)
-        while product & 0xFFFFFFFF < thresholds[top]:
-            product = half() * (top + 1)
-        return product >> 32
-
-    sets = []
-    for _ in range(trials):
-        size = 1 + below(everything - 1)
-        chosen = set()
-        for top in range(everything - size, everything):
-            pick = below(top) if top else 0  # a draw in [0, 0] takes no bits
-            chosen.add(top if pick in chosen else pick)
-        for top in range(size - 1, 0, -1):  # the shuffle: draw until accepted
-            while half() * (top + 1) & 0xFFFFFFFF < thresholds[top]:
-                pass
-        sets.append(sorted(chosen))
-    return sets
+@functools.lru_cache(maxsize=None)
+def _four_bit_family() -> tuple:
+    """113 sets of 4-bit words: the 48 Hamming balls B(c, k <= 2), the 30
+    affine hyperplanes {w : a.w = b} and the 35 two-dimensional linear
+    subspaces."""
+    balls = [[w for w in range(16) if (c ^ w).bit_count() <= k]
+             for c in range(16) for k in (0, 1, 2)]
+    hyperplanes = [[w for w in range(16) if (a & w).bit_count() % 2 == b]
+                   for a in range(1, 16) for b in (0, 1)]
+    subspaces = sorted({tuple(sorted({0, a, b, a ^ b})) for a in range(1, 16) for b in range(1, a)})
+    return tuple(balls + hyperplanes + [list(s) for s in subspaces])
 
 
 @_check("key-min-entropy")
-def check_key_min_entropy(seeds: np.random.SeedSequence, trials: int):
-    """The least hmin - (n - log2|J|) over random parity sets J.  The bound
-    is tight: P(x) is proportional to |sum_{y in J} (-1)^(x.y)|^2, which
-    peaks at x = 0, where every phase adds, so the margin reads rounding
-    alone: -4.440892e-16 at n = 3, p = 1 on some five-word sets."""
-    configs = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))  # (n, p)
-    worst = math.inf
-    for (n, p), child in zip(configs, seeds.spawn(len(configs))):
-        rng = np.random.Generator(np.random.Philox(child))
-        results = ghzsim.key_min_entropy_checks(n, p, _parity_sets(n, trials, rng))
-        worst = _fold(np.argmin, worst, [hmin - bound for hmin, bound in results])
-    return (worst >= -1e-9, worst,
-            f"min (hmin - bound) over {trials} random parity sets per config")
+def check_key_min_entropy():
+    """The largest |hmin - (n - log2|J|)| over every non-empty parity set J
+    at n <= 3 and a fixed family at n = 4.  The bound is tight: P(x) is
+    proportional to |sum_{y in J} (-1)^(x.y)|^2, which peaks at x = 0, where
+    every phase adds, so the margin reads rounding alone."""
+    configs = [(n, p, _every_set(n)) for p in (1, 2) for n in (1, 2, 3)]
+    configs.append((4, 1, _four_bit_family()))
+    worst = 0.0
+    for n, p, word_sets in configs:
+        results = ghzsim.key_min_entropy_checks(n, p, word_sets)
+        worst = _fold(np.argmax, worst, [abs(hmin - bound) for hmin, bound in results])
+    return (worst <= 1e-9, worst,
+            "max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4")
 
 
 def _sampling_bound(n_pop: int, m: int, delta: float) -> float:
@@ -199,24 +167,21 @@ def _sampling_bound(n_pop: int, m: int, delta: float) -> float:
 
 
 @_check("sampling-exhaustive")
-def check_sampling_exhaustive(seeds: np.random.SeedSequence):
-    rng = np.random.Generator(np.random.Philox(seeds))
+def check_sampling_exhaustive():
+    """The failure probability of a word depends on it only through its
+    weight, so one word per weight covers every word."""
     worst = math.inf
     for n_pop, m in ((16, 4), (20, 5), (24, 6)):
-        words = [
-            BitString("01" * (n_pop // 2)),
-            BitString(rng.integers(0, 2, size=n_pop, dtype=np.uint8)),
-        ]
+        words = [BitString("1" * w + "0" * (n_pop - w)) for w in range(n_pop + 1)]
         for delta in (0.25, 0.4):
             bound = _sampling_bound(n_pop, m, delta)
-            for q in words:
-                fail = sampling.empirical_sampling_failure(q, m, delta)
-                worst = _fold(np.argmin, worst, [bound - fail])
+            fails = [sampling.empirical_sampling_failure(q, m, delta) for q in words]
+            worst = _fold(np.argmin, worst, [bound - fail for fail in fails])
     n_pop, m, delta = 200, 50, 0.25
     bound = _sampling_bound(n_pop, m, delta)
     margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
     return (worst >= 0.0 and margin >= 0.0, worst,
-            "min (bound - exact failure probability) over N=16/20/24 instances; "
+            "min (bound - exact failure probability) over every weight at N=16/20/24; "
             f"{margin:.6e} at N={n_pop}, m={m}, delta={delta}")
 
 
@@ -233,15 +198,14 @@ def check_sampling_roundtrip():
     return worst <= 1e-12, worst, "max relative log-space error of the delta inverse"
 
 
-def selftest_checks(seed: int = 0, quick: bool = False) -> list:
+def selftest_checks() -> list:
     """Run the battery: one result per check, or :class:`CheckError`."""
-    seeds = [np.random.SeedSequence(seed, spawn_key=(key,)) for key in (2, 3)]
     return [
         check_parity_exact(),
         check_orthonormality(),
         check_expansion(),
         check_sieve_equivalence(),
-        check_key_min_entropy(seeds[0], 10 if quick else 100),
-        check_sampling_exhaustive(seeds[1]),
+        check_key_min_entropy(),
+        check_sampling_exhaustive(),
         check_sampling_roundtrip(),
     ]

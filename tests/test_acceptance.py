@@ -60,23 +60,25 @@ def test_criterion_2_delayed_measurement_equivalence():
     worst = result.margin
     ok = result.status == "PASS" and worst <= 1e-9 and elapsed < 60.0
     _emit(2, ok, "delayed-measurement equivalence",
-          f"max TV {worst:.3e} <= 1e-9 over every state, runtime {elapsed:.1f}s < 60s")
+          f"max TV {worst:.3e} <= 1e-9 over every state of 2-6 blocks, "
+          f"runtime {elapsed:.1f}s < 60s")
     assert result.status == "PASS"
     assert worst <= 1e-9
     assert elapsed < 60.0
 
 
 def test_criterion_3_min_entropy_bound():
-    """First-qubit min-entropy dominates n - log2|parity set|."""
+    """First-qubit min-entropy equals n - log2|parity set|, so it dominates it."""
     start = time.perf_counter()
-    result = check_key_min_entropy(np.random.SeedSequence(30), 100)
+    result = check_key_min_entropy()
     elapsed = time.perf_counter() - start
     worst = result.margin
-    ok = result.status == "PASS" and worst >= -1e-9 and elapsed < 60.0
+    ok = result.status == "PASS" and worst <= 1e-9 and elapsed < 60.0
     _emit(3, ok, "restricted-superposition min-entropy",
-          f"min margin {worst:.3e} >= -1e-9 over 100 sets/config, runtime {elapsed:.1f}s < 60s")
+          f"max |hmin - bound| {worst:.3e} <= 1e-9 over 659 parity sets, "
+          f"runtime {elapsed:.1f}s < 60s")
     assert result.status == "PASS"
-    assert worst >= -1e-9
+    assert worst <= 1e-9
     assert elapsed < 60.0
 
 
@@ -295,3 +297,27 @@ def test_criterion_8_byte_identical_outputs(tmp_path, capsys):
     _emit(8, all_ok, "deterministic outputs",
           f"{len(commands)} commands re-run with fixed seed, all byte-identical")
     assert all_ok
+
+
+def test_criterion_9_counting_bound():
+    """log2|B(n, k)| <= n h(k/n) for every n <= 600 and k <= n/2, in integers."""
+    # That is |B(n, k)| k^k (n-k)^(n-k) <= n^n (Python's 0 ** 0 is 1); h
+    # increases on [0, 1/2], so integer k covers every radius up to n/2.
+    start = time.perf_counter()
+    checked, violations = 0, []
+    for n in range(1, 601):
+        ball, binom, top = 0, 1, n**n
+        for k in range(n // 2 + 1):
+            ball += binom  # sum_{j <= k} C(n, j)
+            binom = binom * (n - k) // (k + 1)
+            checked += 1
+            if ball * k**k * (n - k) ** (n - k) > top:
+                violations.append((n, k))
+    elapsed = time.perf_counter() - start
+    ok = not violations and checked == 90_600 and elapsed < 60.0
+    _emit(9, ok, "Hamming-ball counting bound",
+          f"{len(violations)} violations over {checked} (n, k) with n <= 600 and k <= n/2, "
+          f"runtime {elapsed:.1f}s < 60s")
+    assert violations == []
+    assert checked == 90_600
+    assert elapsed < 60.0

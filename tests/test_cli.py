@@ -29,20 +29,22 @@ GOLDEN_SIMULATE_HEADER_P2 = (
 )
 
 
-# `selftest` stdout, byte for byte: the full battery at seed 0 (CSV) and at
-# seed 12345 (JSON, whose margins keep every bit), and the quick battery at
-# seed 8 (JSON).
-GOLDEN_SELFTEST_SEED_0 = (
+# `selftest` stdout, byte for byte, in CSV and in JSON (whose margins keep
+# every bit).  Every check is exact, so both are the same at every seed,
+# with or without --quick.  The key-min-entropy and sampling-exhaustive
+# margins were taken from the single-input functions over the same sets
+# and weights, before the battery changed to them.
+GOLDEN_SELFTEST_CSV = (
     "PASS ghz-parity-exact margin=6.661338e-16  (max deviation of the announced parity from the phase bit)\n"
     "PASS ghz-orthonormality margin=2.220446e-16  (max deviation of pairwise inner products from identity)\n"
     "PASS hadamard-expansion margin=0.000000e+00  (GHZ states failing the all-Hadamard expansion identity)\n"
-    "PASS sieve-equivalence margin=0.000000e+00  (max TV distance over every state: exact on the 16/64/256 basis states per config)\n"
-    "PASS key-min-entropy margin=-4.440892e-16  (min (hmin - bound) over 100 random parity sets per config)\n"
-    "PASS sampling-exhaustive margin=4.307692e-01  (min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25)\n"
+    "PASS sieve-equivalence margin=0.000000e+00  (max TV distance over every state: direct and delayed cell maps equal entry for entry at 2/3/4/6 blocks)\n"
+    "PASS key-min-entropy margin=8.881784e-16  (max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4)\n"
+    "PASS sampling-exhaustive margin=3.973168e-01  (min (bound - exact failure probability) over every weight at N=16/20/24; 8.888746e-02 at N=200, m=50, delta=0.25)\n"
     "PASS sampling-roundtrip margin=1.714360e-16  (max relative log-space error of the delta inverse)\n"
 )
 
-GOLDEN_SELFTEST_SEED_12345_JSON = """\
+GOLDEN_SELFTEST_JSON = """\
 [
   {
     "name": "ghz-parity-exact",
@@ -66,19 +68,19 @@ GOLDEN_SELFTEST_SEED_12345_JSON = """\
     "name": "sieve-equivalence",
     "status": "PASS",
     "margin": 0.0,
-    "detail": "max TV distance over every state: exact on the 16/64/256 basis states per config"
+    "detail": "max TV distance over every state: direct and delayed cell maps equal entry for entry at 2/3/4/6 blocks"
   },
   {
     "name": "key-min-entropy",
     "status": "PASS",
-    "margin": -4.440892098500626e-16,
-    "detail": "min (hmin - bound) over 100 random parity sets per config"
+    "margin": 8.881784197001252e-16,
+    "detail": "max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4"
   },
   {
     "name": "sampling-exhaustive",
     "status": "PASS",
     "margin": 0.39731682146542824,
-    "detail": "min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25"
+    "detail": "min (bound - exact failure probability) over every weight at N=16/20/24; 8.888746e-02 at N=200, m=50, delta=0.25"
   },
   {
     "name": "sampling-roundtrip",
@@ -89,102 +91,7 @@ GOLDEN_SELFTEST_SEED_12345_JSON = """\
 ]
 """
 
-GOLDEN_SELFTEST_SEED_8_QUICK_JSON = """\
-[
-  {
-    "name": "ghz-parity-exact",
-    "status": "PASS",
-    "margin": 6.661338147750939e-16,
-    "detail": "max deviation of the announced parity from the phase bit"
-  },
-  {
-    "name": "ghz-orthonormality",
-    "status": "PASS",
-    "margin": 2.220446049250313e-16,
-    "detail": "max deviation of pairwise inner products from identity"
-  },
-  {
-    "name": "hadamard-expansion",
-    "status": "PASS",
-    "margin": 0.0,
-    "detail": "GHZ states failing the all-Hadamard expansion identity"
-  },
-  {
-    "name": "sieve-equivalence",
-    "status": "PASS",
-    "margin": 0.0,
-    "detail": "max TV distance over every state: exact on the 16/64/256 basis states per config"
-  },
-  {
-    "name": "key-min-entropy",
-    "status": "PASS",
-    "margin": -4.440892098500626e-16,
-    "detail": "min (hmin - bound) over 10 random parity sets per config"
-  },
-  {
-    "name": "sampling-exhaustive",
-    "status": "PASS",
-    "margin": 0.4307692307692308,
-    "detail": "min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25"
-  },
-  {
-    "name": "sampling-roundtrip",
-    "status": "PASS",
-    "margin": 1.7143599405391772e-16,
-    "detail": "max relative log-space error of the delta inverse"
-  }
-]
-"""
-
-
-# The full battery in JSON at seeds 1, 3 and 77: the three print the same
-# bytes, every margin at full precision.
-GOLDEN_SELFTEST_SEEDS_1_3_77_JSON = """\
-[
-  {
-    "name": "ghz-parity-exact",
-    "status": "PASS",
-    "margin": 6.661338147750939e-16,
-    "detail": "max deviation of the announced parity from the phase bit"
-  },
-  {
-    "name": "ghz-orthonormality",
-    "status": "PASS",
-    "margin": 2.220446049250313e-16,
-    "detail": "max deviation of pairwise inner products from identity"
-  },
-  {
-    "name": "hadamard-expansion",
-    "status": "PASS",
-    "margin": 0.0,
-    "detail": "GHZ states failing the all-Hadamard expansion identity"
-  },
-  {
-    "name": "sieve-equivalence",
-    "status": "PASS",
-    "margin": 0.0,
-    "detail": "max TV distance over every state: exact on the 16/64/256 basis states per config"
-  },
-  {
-    "name": "key-min-entropy",
-    "status": "PASS",
-    "margin": -4.440892098500626e-16,
-    "detail": "min (hmin - bound) over 100 random parity sets per config"
-  },
-  {
-    "name": "sampling-exhaustive",
-    "status": "PASS",
-    "margin": 0.4307692307692308,
-    "detail": "min (bound - exact failure probability) over N=16/20/24 instances; 8.888746e-02 at N=200, m=50, delta=0.25"
-  },
-  {
-    "name": "sampling-roundtrip",
-    "status": "PASS",
-    "margin": 1.7143599405391772e-16,
-    "detail": "max relative log-space error of the delta inverse"
-  }
-]
-"""
+SELFTEST_SEEDS = ("0", "1", "3", "8", "77", "12345")
 
 
 # `rate` and `sweep-n` stdout, byte for byte: the README examples, a fixed
@@ -429,8 +336,9 @@ class TestUsageErrors:
         outputs = {}
         for seed in ("1e30", "1000000000000000000000000000000",
                      str(int(float("1e30")))):  # the seed a float parse would run
-            code, outputs[seed], _ = run_cli(capsys, "selftest", "--quick", "--seed", seed,
-                                             "--format", "json")
+            code, outputs[seed], _ = run_cli(capsys, "simulate", "--p", "1", "--signals", "1e4",
+                                             "--m", "2000", "--q", "0.1", "--qz", "0.1",
+                                             "--trials", "2", "--seed", seed)
             assert code == EXIT_OK
         first, second, rounded = outputs.values()
         assert first == second != rounded
@@ -641,34 +549,50 @@ class TestSelftest:
         assert all(item["status"] == "PASS" for item in payload)
         assert all(type(item["margin"]) is float for item in payload)
 
+    @staticmethod
+    def _runs(capsys, seeds, *argv) -> set:
+        """Exit code and output of ``selftest`` at each seed."""
+        return {run_cli(capsys, "selftest", "--seed", seed, *argv) for seed in seeds}
+
+    # Together these pin both formats at every seed of SELFTEST_SEEDS, with
+    # and without --quick.
     def test_full_csv_stdout_is_pinned(self, capsys):
-        assert run_cli(capsys, "selftest", "--seed", "0") == (EXIT_OK, GOLDEN_SELFTEST_SEED_0, "")
+        for quick in ((), ("--quick",)):
+            runs = self._runs(capsys, SELFTEST_SEEDS, *quick)
+            assert runs == {(EXIT_OK, GOLDEN_SELFTEST_CSV, "")}
 
     def test_full_json_stdout_is_pinned(self, capsys):
-        argv = ("selftest", "--seed", "12345", "--format", "json")
-        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEED_12345_JSON, "")
+        runs = self._runs(capsys, ("0", "8", "12345"), "--format", "json")
+        assert runs == {(EXIT_OK, GOLDEN_SELFTEST_JSON, "")}
 
     def test_quick_json_stdout_is_pinned(self, capsys):
-        argv = ("selftest", "--seed", "8", "--quick", "--format", "json")
-        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEED_8_QUICK_JSON, "")
+        runs = self._runs(capsys, SELFTEST_SEEDS, "--quick", "--format", "json")
+        assert runs == {(EXIT_OK, GOLDEN_SELFTEST_JSON, "")}
 
     @pytest.mark.parametrize("seed", ["1", "3", "77"])
     def test_full_json_stdout_is_pinned_at_more_seeds(self, capsys, seed):
         argv = ("selftest", "--seed", seed, "--format", "json")
-        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_SEEDS_1_3_77_JSON, "")
+        assert run_cli(capsys, *argv) == (EXIT_OK, GOLDEN_SELFTEST_JSON, "")
 
     def test_sieve_line_ignores_seed_and_quick(self, capsys):
-        # The sieve check is exact over every state, so it draws nothing.
-        sieve = GOLDEN_SELFTEST_SEED_0.splitlines()[3]
+        # The sieve check compares two fixed maps, so it draws nothing.
+        sieve = GOLDEN_SELFTEST_CSV.splitlines()[3]
         for argv in (("--seed", "1"), ("--seed", "77", "--quick"), ("--quick",)):
             code, out, _ = run_cli(capsys, "selftest", *argv)
             assert (code, out.splitlines()[3]) == (EXIT_OK, sieve)
 
+    def test_battery_draws_nothing(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the battery drew from a random stream")
 
-    # The battery runs the batched kernels; each id names the single-state
-    # kernel that is their batch of one.
+        for name in ("SeedSequence", "Generator", "Philox", "default_rng"):
+            monkeypatch.setattr(np.random, name, refuse)
+        assert run_cli(capsys, "selftest", "--seed", "5") == (EXIT_OK, GOLDEN_SELFTEST_CSV, "")
+
+    # Each id names the single-input function whose fact the check decides;
+    # the sieve check compares the delayed order's cell map with the direct one.
     @pytest.mark.parametrize("target, check", [
-        pytest.param("cad_delayed_measurement_distances", "sieve-equivalence",
+        pytest.param("_delayed_cells", "sieve-equivalence",
                      id="cad_delayed_measurement_equivalence-sieve-equivalence"),
         pytest.param("key_min_entropy_checks", "key-min-entropy",
                      id="key_min_entropy_check-key-min-entropy"),
@@ -676,7 +600,7 @@ class TestSelftest:
     def test_raising_check_fails_the_battery(self, capsys, monkeypatch, target, check):
         original = getattr(ghzsim, target)
 
-        def raise_on_two(first, *args):  # p == 2 or n == 2
+        def raise_on_two(first, *args):  # 2 blocks or n == 2
             if first == 2:
                 raise ValueError("state not normalized")
             return original(first, *args)
@@ -687,20 +611,22 @@ class TestSelftest:
         assert out == ""
         assert err == f"error: check {check} raised ValueError: state not normalized\n"
 
-    @pytest.mark.parametrize("target, nan_kernel, check", [
-        ("cad_delayed_measurement_distances",
-         lambda p, rounds, states: [math.nan for _ in states], "sieve-equivalence"),
+    @pytest.mark.parametrize("target, nan_kernel, check, margin", [
+        # A NaN entry equals no source, so the maps differ: TV 1.
+        ("_delayed_cells", lambda blocks: np.full((1 << blocks,) * 2, math.nan),
+         "sieve-equivalence", "1.000000e+00"),
         ("key_min_entropy_checks",
-         lambda n, p, word_sets: [(math.nan, 0.0) for _ in word_sets], "key-min-entropy"),
+         lambda n, p, word_sets: [(math.nan, 0.0) for _ in word_sets], "key-min-entropy", "nan"),
     ], ids=["sieve-equivalence", "key-min-entropy"])
-    def test_nan_kernel_fails_the_battery(self, capsys, monkeypatch, target, nan_kernel, check):
+    def test_nan_kernel_fails_the_battery(self, capsys, monkeypatch, target, nan_kernel, check,
+                                          margin):
         # Python's max and min skip a NaN: max(0.0, nan) is 0.0.
         monkeypatch.setattr(ghzsim, target, nan_kernel)
         code, out, err = run_cli(capsys, "selftest", "--quick")
         assert code == EXIT_SELFTEST
         assert err == ""
         failed = [line for line in out.splitlines() if not line.startswith("PASS")]
-        assert len(failed) == 1 and failed[0].startswith(f"FAIL {check} margin=nan  (")
+        assert len(failed) == 1 and failed[0].startswith(f"FAIL {check} margin={margin}  (")
 
     # The GHZ checks run the batched kernels on stacked GHZ families.
     @pytest.mark.parametrize("module, target, nan_kernel, run_check", [
@@ -711,7 +637,7 @@ class TestSelftest:
          lambda p, words, ys: np.full((len(words), 2 ** (p + 1)), np.nan),
          lambda: verify.check_orthonormality()),
         (sampling, "empirical_sampling_failure", lambda q, m, delta: math.nan,
-         lambda: verify.check_sampling_exhaustive(np.random.SeedSequence(0))),
+         lambda: verify.check_sampling_exhaustive()),
         (sampling, "sampling_failure_log", lambda n_pop, m, delta: math.nan,
          lambda: verify.check_sampling_roundtrip()),
     ], ids=["parity", "orthonormality", "sampling-exhaustive", "sampling-roundtrip"])

@@ -611,114 +611,101 @@ class TestBatteryMatchesSingleInputs:
         assert verify.check_expansion().margin == failing == 0
 
     def test_sieve_equivalence(self, monkeypatch):
-        seen = _spy(monkeypatch, "cad_delayed_measurement_distances")
+        compared = {"_direct_cells": [], "_delayed_cells": []}
+        for name, seen in compared.items():
+            original = getattr(ghzsim, name)
+            monkeypatch.setattr(ghzsim, name,
+                                lambda blocks, seen=seen, original=original:
+                                seen.append(blocks) or original(blocks))
         result = verify.check_sieve_equivalence()
-        configs = ((1, 1), (2, 1), (1, 2))
-        assert [args[:2] for args, _ in seen] == list(configs)
+        assert compared == {"_direct_cells": [2, 3, 4, 6], "_delayed_cells": [2, 3, 4, 6]}
         worst = 0.0
-        for (p, rounds), (args, distances) in zip(configs, seen):
+        for p, rounds in ((1, 1), (2, 1), (1, 2)):
             basis = np.eye(1 << (2 * rounds * (p + 1)))
-            assert np.array_equal(args[2], basis)
-            singles = [cad_delayed_measurement_equivalence(p, rounds, StateVector(row))
-                       for row in basis]
-            assert distances.tolist() == singles
-            worst = max(worst, *singles)
+            worst = max(worst, *(cad_delayed_measurement_equivalence(p, rounds, StateVector(row))
+                                 for row in basis))
+        # The 6-block layouts, (2, 2) and (1, 3), through the batch kernel.
+        for start in range(0, 4096, 512):
+            basis = np.zeros((512, 4096))
+            basis[np.arange(512), start + np.arange(512)] = 1.0
+            worst = max(worst, *cad_delayed_measurement_distances(2, 2, basis))
         assert result.margin == worst == 0.0
-        assert result.detail == ("max TV distance over every state: "
-                                 "exact on the 16/64/256 basis states per config")
+        assert result.detail == ("max TV distance over every state: direct and delayed cell "
+                                 "maps equal entry for entry at 2/3/4/6 blocks")
 
     def test_sieve_equivalence_catches_two_swapped_cells(self, monkeypatch):
         # The basis state that feeds a swapped cell lands whole in another
         # cell of one table: TV 1, the largest there is.
         original = ghzsim._delayed_cells
+        for p, rounds in ((2, 1), (2, 2)):
+            blocks = rounds * (p + 1)
 
-        def swapped(blocks):
-            cells = original(blocks)
-            if blocks == 3:
-                cells = cells.copy()
-                cells[5, [2, 6]] = cells[5, [6, 2]]
-            return cells
+            def swapped(b, blocks=blocks):
+                cells = original(b)
+                if b == blocks:
+                    cells = cells.copy()
+                    cells[5, [2, 6]] = cells[5, [6, 2]]
+                return cells
 
-        monkeypatch.setattr(ghzsim, "_delayed_cells", swapped)
-        result = verify.check_sieve_equivalence()
-        assert (result.status, result.margin) == ("FAIL", 1.0)
+            monkeypatch.setattr(ghzsim, "_delayed_cells", swapped)
+            result = verify.check_sieve_equivalence()
+            assert (result.status, result.margin) == ("FAIL", 1.0)
+            state = np.zeros((1, 1 << (2 * blocks)))
+            state[0, original(blocks)[5, 2]] = 1.0
+            assert cad_delayed_measurement_distances(p, rounds, state).tolist() == [1.0]
 
     def test_key_min_entropy(self, monkeypatch):
-        trials = 12
         seen = _spy(monkeypatch, "key_min_entropy_checks", consume=list)
-        result = verify.check_key_min_entropy(np.random.SeedSequence(6), trials)
-        worst = math.inf
-        configs = ((2, 1), (3, 1), (2, 2), (3, 2), (4, 1))
-        assert len(seen) == len(configs)
-        children = np.random.SeedSequence(6).spawn(len(configs))
-        for (n, p), child, (args, results) in zip(configs, children, seen):
-            rng = np.random.Generator(np.random.Philox(child))
-            word_sets = []
-            for _ in range(trials):
-                size = int(rng.integers(1, 2**n + 1))
-                picks = rng.choice(2**n, size=size, replace=False)
-                word_sets.append([int(w) for w in sorted(picks)])
-            assert args[:2] == (n, p)
-            assert args[2] == word_sets
+        result = verify.check_key_min_entropy()
+        calls = list(seen)  # the single-input checks below call the spy too
+        configs = [(n, p) for p in (1, 2) for n in (1, 2, 3)] + [(4, 1)]
+        assert [args[:2] for args, _ in calls] == configs
+        for (n, _), (args, _) in zip(configs[:-1], calls):
+            assert args[2] == [list(itertools.compress(range(2**n), keep))
+                               for keep in itertools.product((0, 1), repeat=2**n) if any(keep)]
+        # At n = 4: the Hamming balls of radius <= 2 about every center, every
+        # affine hyperplane and every 2-dimensional subspace, found by search.
+        family = calls[-1][0][2]
+        balls = {frozenset(w for w in range(16) if bin(c ^ w).count("1") <= k)
+                 for c in range(16) for k in (0, 1, 2)}
+        halves = {frozenset(w for w in range(16) if bin(a & w).count("1") % 2 == b)
+                  for a in range(1, 16) for b in (0, 1)}
+        planes = {frozenset(s) for s in itertools.combinations(range(16), 4)
+                  if 0 in s and all(x ^ y in s for x in s for y in s)}
+        assert (len(balls), len(halves), len(planes)) == (48, 30, 35)
+        assert all(words == sorted(words) for words in family)
+        assert len(family) == 113 and set(map(frozenset, family)) == balls | halves | planes
+        assert sum(len(args[2]) for args, _ in calls) == 546 + 113
+        worst = 0.0
+        for (n, p, word_sets), results in calls:
             singles = [key_min_entropy_check(n, p, words) for words in word_sets]
             assert results == singles
-            worst = min(worst, *(hmin - bound for hmin, bound in singles))
-        assert result.margin == worst
+            worst = max(worst, *(abs(hmin - bound) for hmin, bound in singles))
+        assert result.margin == worst == 8.881784197001252e-16
 
+    def test_key_min_entropy_is_two_sided(self, monkeypatch):
+        # Weighting word 0 twice makes P(x) flatter on every set that holds
+        # it and another word, so hmin rises above n - log2|J|.
+        original = ghzsim._head_vectors
 
-def _numpy_parity_sets(n, trials, rng):
-    """The battery's parity sets as numpy's own calls draw them."""
-    sets = []
-    for _ in range(trials):
-        size = int(rng.integers(1, 2**n + 1))
-        sets.append(sorted(rng.choice(2**n, size=size, replace=False).tolist()))
-    return sets
+        def scaled(n):
+            heads = original(n).copy()
+            heads[0] *= 2.0
+            return heads
 
-
-def _crafted_philox(halves):
-    """A Philox generator whose next raw words hold ``halves``, low half first."""
-    bits = np.random.Philox(5)
-    state = bits.state
-    state["buffer"] = np.array([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])],
-                               dtype=np.uint64)
-    state["buffer_pos"] = 0
-    bits.state = state
-    return np.random.Generator(bits)
+        monkeypatch.setattr(ghzsim, "_head_vectors", scaled)
+        seen = _spy(monkeypatch, "key_min_entropy_checks", consume=list)
+        result = verify.check_key_min_entropy()
+        gaps = [hmin - bound for _, results in seen for hmin, bound in results]
+        assert len(gaps) == 546 + 113
+        assert min(gaps) >= -1e-9  # the one-sided check would pass
+        assert (result.status, result.margin) == ("FAIL", max(gaps))
+        assert result.margin > 0.1
 
 
 class TestParitySetDecoder:
-    """The battery's parity sets, decoded from raw words, equal numpy's calls."""
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_equals_numpy_calls(self, n):
-        full = 0
-        for seed in range(200):
-            decoded = verify._parity_sets(n, 100, np.random.Generator(np.random.Philox(seed)))
-            assert decoded == _numpy_parity_sets(n, 100, np.random.Generator(np.random.Philox(seed)))
-            full += decoded.count(list(range(2**n)))
-        assert full > 0  # sets of size 2**n, whose first Floyd step draws nothing
-
-    def test_lemire_rejections(self):
-        # A half of 0 is rejected for every range that is not a power of two.
-        # n = 2 and size 3: Floyd draws in [0, 1], [0, 2], [0, 3], then the
-        # shuffle in [0, 2] and [0, 1]; the zeros fall on the two [0, 2] draws.
-        halves = [0x80000000,  # size 3
-                  0x80000000, 0, 0xC0000000, 0x40000000,  # Floyd: 1, rejected, 2, 3
-                  0, 0x12345678, 0xFFFFFFFF]  # shuffle: rejected, 0, 1
-        rng = _crafted_philox(halves)
-        expect = _numpy_parity_sets(2, 1, rng)
-        assert expect == [[1, 2, 3]]
-        state = rng.bit_generator.state
-        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)  # all eight halves read
-        expect += _numpy_parity_sets(2, 2, rng)
-        assert verify._parity_sets(2, 3, _crafted_philox(halves)) == expect
-
-    def test_refuses_a_used_or_other_generator(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        rng.integers(0, 3)  # leaves the high half of a word buffered
-        for other in (rng, np.random.default_rng(1)):
-            with pytest.raises(ValueError, match="buffered 32-bit half"):
-                verify._parity_sets(2, 1, other)
+    """The min-entropy kernel's decoding of parity sets into word indices
+    checks every set, in whichever chunk it falls."""
 
     @pytest.mark.parametrize("bad, first", [
         ([0, 4], 4), ([-1], -1), ([], None), (["0"], "0"), ([0.0], 0.0),
