@@ -18,11 +18,13 @@ Four desk-scale checks, all by exact marginalization (no sampling):
 import numpy as np
 
 from qcka_cad.ghzsim import (
-    cad_delayed_measurement_distances,
+    cad_delayed_measurement_equivalence,
+    compose,
+    ghz_state,
     ghz_states,
     hadamard_expansion_checks,
     key_min_entropy_checks,
-    random_pure_states,
+    random_pure_state,
     x_basis_parity_distributions,
 )
 
@@ -48,15 +50,15 @@ def main():
 
     print()
     print("3. parity sieve: direct vs delayed measurement order")
-    zero, one = ghz_states(1, [0, 1], [0, 0])
-    clean, crossed = cad_delayed_measurement_distances(
-        1, 1, np.stack([np.kron(zero, zero), np.kron(one, zero)]))
+    zero, one = ghz_state(1, 0, 0), ghz_state(1, 1, 0)
+    clean = cad_delayed_measurement_equivalence(1, 1, compose(zero, zero))
+    crossed = cad_delayed_measurement_equivalence(1, 1, compose(one, zero))
     print(f"   ideal round:      TV = {clean:.1e}")
     print(f"   crossed round:    TV = {crossed:.1e}")
     rng = np.random.default_rng(123)
     # Two rounds of a two-party sieve.
-    worst = max(cad_delayed_measurement_distances(1, 2, block).max()
-                for block in random_pure_states(8, 50, rng))
+    worst = max(cad_delayed_measurement_equivalence(1, 2, random_pure_state(8, rng))
+                for _ in range(50))
     print(f"   50 random pure 8-qubit inputs: max TV = {worst:.1e}")
 
     print()

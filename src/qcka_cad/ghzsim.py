@@ -17,28 +17,26 @@ the handful of quantum facts the key-rate analysis relies on:
   measurement.
 
 Everything is computed by exact marginalization of squared amplitudes,
-never by sampling, so the checks are deterministic.  Every kernel takes a
-batch in one format: states as the rows of a 2-D amplitude array, each
-checked as the constructor checks one state, GHZ labels as integer word
-indices (first bit most significant; never spelled as bits) and phase
-bits, parity sets as a sequence of sets of word indices.  Each input gets
-the same bits as a batch of one, which is what the single-input
-functions are; they take a StateVector in place of an amplitude row.
-``ghz_states`` builds a stacked family of GHZ basis states and
-``random_pure_states`` draws random states in blocks, one generator call per
-block; row norms are batched BLAS dots, bit for bit ``np.linalg.norm``.  The
-sieve and min-entropy kernels slice their inputs into chunks whose largest
-temporary (the chunk's rows as complex amplitudes) stays within 512 KiB, and
-the min-entropy kernel checks each chunk of parity sets with array
-operations.  Each sieve order has a read-only cell map, built once per
-layout (the delayed one by running its CNOTs on indices), so both tables
-are gathers from one square of each chunk; the min-entropy head vectors
-are also built once per layout.  States are dense complex vectors with a
-hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per vector), checked
-before anything is allocated; within a GHZ block, qubit 1 belongs to the
-first party and qubits 2..p+1 to the others.  Qubit 1 is the most
-significant bit of the amplitude index, so in the ``(2,) * k`` axis view
-every kernel works on, qubit q is axis q - 1.
+never by sampling, so the checks are deterministic.  The GHZ and
+min-entropy kernels take a batch in one format: states as the rows of a
+2-D amplitude array, each checked as the constructor checks one state, GHZ
+labels as integer word indices (first bit most significant; never spelled
+as bits) and phase bits, parity sets as a sequence of sets of word
+indices.  Each input gets the same bits as a batch of one, which is what
+the single-input functions are; they take a StateVector in place of an
+amplitude row.  ``ghz_states`` builds a stacked family of GHZ basis
+states; row norms are batched BLAS dots, bit for bit ``np.linalg.norm``.
+The min-entropy kernel checks its parity sets in chunks whose largest
+temporary (the chunk's superpositions) stays within 512 KiB, each chunk
+with array operations, on head vectors built once per layout.  The sieve
+check takes one state: each sieve order has a read-only cell map, built
+once per layout (the delayed one by running its CNOTs on indices), so
+both tables are gathers from one square of the state.  States are dense
+complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
+(16 MiB per vector), checked before anything is allocated; within a GHZ
+block, qubit 1 belongs to the first party and qubits 2..p+1 to the others.
+Qubit 1 is the most significant bit of the amplitude index, so in the
+``(2,) * k`` axis view every kernel works on, qubit q is axis q - 1.
 """
 
 from __future__ import annotations
@@ -57,14 +55,12 @@ __all__ = [
     "ghz_states",
     "compose",
     "random_pure_state",
-    "random_pure_states",
     "hadamard_transform",
     "x_basis_parity_distribution",
     "x_basis_parity_distributions",
     "hadamard_expansion_check",
     "hadamard_expansion_checks",
     "cad_delayed_measurement_equivalence",
-    "cad_delayed_measurement_distances",
     "key_min_entropy_check",
     "key_min_entropy_checks",
 ]
@@ -197,39 +193,15 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
 
 
-def _random_block(rng: np.random.Generator, count: int, dim: int) -> np.ndarray:
-    """``count`` normalized complex Gaussian vectors of length ``dim``, as rows."""
-    draws = rng.standard_normal((count, 2, dim))
-    vecs = np.empty((count, dim), dtype=np.complex128)
-    vecs.real, vecs.imag = draws[:, 0], draws[:, 1]
-    vecs /= _row_norms(vecs)[:, None]
-    return vecs
-
-
-def random_pure_states(qubit_count: int, count: int, rng: np.random.Generator):
-    """``count`` Haar-like random pure states, drawn lazily in blocks.
-
-    Returns an iterator of ``(rows, 2**qubit_count)`` amplitude arrays,
-    one ``standard_normal`` call each, whose rows together are ``count``
-    states; each row has the bits that the matching one of ``count``
-    calls to :func:`random_pure_state` on the same stream gives.
-    """
+def random_pure_state(qubit_count: int, rng: np.random.Generator) -> StateVector:
+    """Haar-like random pure state from normalized complex Gaussians."""
     if qubit_count < 1:
         raise ValueError("need at least one qubit")
     _check_cap(qubit_count)
-    if count < 0:
-        raise ValueError(f"state count {count} is negative")
-    # A block's draws and its rows take 32 << k bytes per state; the block
-    # size stays the one a 48 << k budget gives.
-    size = _chunk_size(48 << qubit_count)
-    return (_random_block(rng, min(size, count - start), 1 << qubit_count)
-            for start in range(0, count, size))
-
-
-def random_pure_state(qubit_count: int, rng: np.random.Generator) -> StateVector:
-    """Haar-like random pure state from normalized complex Gaussians."""
-    (block,) = random_pure_states(qubit_count, 1, rng)
-    return StateVector(block[0])
+    amps = np.empty(1 << qubit_count, dtype=np.complex128)
+    amps.real, amps.imag = rng.standard_normal((2, 1 << qubit_count))
+    amps /= _row_norms(amps[None])
+    return StateVector(amps)
 
 
 def _hadamard(amps: np.ndarray) -> np.ndarray:
@@ -386,28 +358,6 @@ def _direct_cells(blocks: int) -> np.ndarray:
     return cells
 
 
-def cad_delayed_measurement_distances(p: int, rounds: int, states: np.ndarray) -> np.ndarray:
-    """:func:`cad_delayed_measurement_equivalence` for each row of the 2-D
-    amplitude array ``states``, in row order."""
-    blocks = rounds * (p + 1)
-    system = 2 * blocks
-    _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
-    # Each cell of either table receives one squared modulus.
-    direct, delayed = _direct_cells(blocks), _delayed_cells(blocks)
-    distances = [np.zeros(0)]
-    # 16 bytes per amplitude: the chunk's rows as complex amplitudes, a copy
-    # unless they are complex128 already.  Each float table is half that.
-    for chunk in _chunks(states, _chunk_size(16 << system)):
-        probs = np.abs(_stacked(chunk)) ** 2
-        if probs.shape[1] != 1 << system:
-            raise ValueError(f"state has {_qubits(probs.shape[1])} qubits, "
-                             f"sieve layout needs {system}")
-        gap = np.take(probs, direct, axis=1)
-        gap -= np.take(probs, delayed, axis=1)
-        distances.append(0.5 * np.abs(gap, out=gap).sum(axis=(1, 2)))
-    return np.concatenate(distances)
-
-
 def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector) -> float:
     """Total variation distance between the direct and delayed sieve orders.
 
@@ -417,7 +367,17 @@ def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector)
     rounds' Left bits) is a function of a table cell, so the distance
     bounds the TV distance between the two orders' records.
     """
-    return float(cad_delayed_measurement_distances(p, rounds, state.amplitudes[None])[0])
+    if p < 1 or rounds < 1:
+        raise ValueError("need p >= 1 and rounds >= 1")
+    blocks = rounds * (p + 1)
+    system = 2 * blocks
+    _check_cap(system + blocks, f"{system} qubits + {blocks} ancillas")
+    if state.qubit_count != system:
+        raise ValueError(f"state has {state.qubit_count} qubits, sieve layout needs {system}")
+    # Each cell of either table receives one squared modulus.
+    probs = np.abs(state.amplitudes) ** 2
+    gap = probs[_direct_cells(blocks)] - probs[_delayed_cells(blocks)]
+    return float(0.5 * np.abs(gap).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from qcka_cad.bitcore import BitString
 from qcka_cad.ghzsim import (
     DEFAULT_QUBIT_CAP,
     StateVector,
-    cad_delayed_measurement_distances,
     cad_delayed_measurement_equivalence,
     compose,
     ghz_state,
@@ -246,13 +245,22 @@ class TestSieveEquivalence:
         state = ghz_state(1, 0, 0)
         with pytest.raises(ValueError, match="layout|qubits"):
             cad_delayed_measurement_equivalence(1, 1, state)
+        with pytest.raises(ValueError, match="6 qubits, sieve layout needs 4"):
+            cad_delayed_measurement_equivalence(1, 1, StateVector(np.ones(64) / 8.0))
+
+    @pytest.mark.parametrize("p, rounds", [(0, 1), (1, 0), (-1, 1), (1, -1), (0, 0)])
+    def test_sieve_layout_needs_a_party_and_a_round(self, p, rounds):
+        # (0, 1) would take a 2-qubit state as a one-party "sieve" with TV 0.
+        for qubits in (2, 4):
+            with pytest.raises(ValueError, match="^need p >= 1 and rounds >= 1$"):
+                cad_delayed_measurement_equivalence(p, rounds, ghz_state(qubits - 1, 0, 0))
 
     @pytest.mark.parametrize("blocks", [2, 3, 4, 6])
     def test_cell_map_matches_register_sum(self, blocks):
         # The delayed table read from the whole register: gather every entry
         # of the system-plus-ancilla register, then sum out the Right bits.
         rng = np.random.default_rng(blocks)
-        amps = np.concatenate(list(ghzsim.random_pure_states(2 * blocks, 3, rng)))
+        amps = np.stack([random_pure_state(2 * blocks, rng).amplitudes for _ in range(3)])
         count, size = len(amps), 1 << blocks
         padded = np.zeros((count, size * size + 1))
         padded[:, :-1] = np.abs(amps) ** 2
@@ -337,24 +345,6 @@ class TestKeyMinEntropy:
 class TestBatchedKernels:
     """Batches, one chunk and one past a chunk, equal the batch of one bit for bit."""
 
-    @pytest.mark.parametrize("p, rounds", [(1, 1), (2, 1), (1, 2)])
-    def test_sieve_batches_match_batch_of_one(self, p, rounds):
-        blocks = rounds * (p + 1)
-        chunk = ghzsim._chunk_size(16 << (2 * blocks))  # the sieve's complex rows
-        rng = np.random.default_rng(100 * p + rounds)
-        states = [random_pure_state(2 * blocks, rng) for _ in range(chunk + 1)]
-        stacked = np.stack([s.amplitudes for s in states])
-        for cells in (ghzsim._direct_cells(blocks), ghzsim._delayed_cells(blocks)):
-            single = [(np.abs(s.amplitudes) ** 2)[cells] for s in states]
-            for count in (1, chunk, chunk + 1):
-                batch = np.take(np.abs(stacked[:count]) ** 2, cells, axis=1)
-                assert batch.shape == (count, 1 << blocks, 1 << blocks)
-                assert all(np.array_equal(b, s) for b, s in zip(batch, single))
-        single = [cad_delayed_measurement_equivalence(p, rounds, s) for s in states]
-        for count in (1, chunk, chunk + 1):
-            batch = cad_delayed_measurement_distances(p, rounds, stacked[:count])
-            assert batch.tolist() == single[:count]
-
     @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
     def test_min_entropy_batches_match_batch_of_one(self, n, p):
         chunk = ghzsim._chunk_size(16 << (n * (p + 1)))  # the superposition
@@ -369,7 +359,6 @@ class TestBatchedKernels:
             assert key_min_entropy_checks(n, p, sets[:count]) == single[:count]
 
     def test_empty_batches(self):
-        assert cad_delayed_measurement_distances(1, 1, []).shape == (0,)
         assert key_min_entropy_checks(2, 1, []) == []
 
     def test_cached_tables_are_read_only(self):
@@ -383,7 +372,7 @@ class TestBatchedKernels:
             nbytes = 16 << qubits
             size = ghzsim._chunk_size(nbytes)
             assert size >= 1 and (size == 1 or size * nbytes <= ghzsim._CHUNK_BYTES)
-        assert ghzsim._chunk_size(16 << 8) == 128  # the (1, 2) sieve's complex rows
+        assert ghzsim._chunk_size(16 << 8) == 128  # the (4, 1) superpositions
 
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
                                       (4, 1), (3, 2)])
@@ -402,7 +391,7 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("qubits", [4, 6, 8])
     def test_row_norms_of_draws_match_norm(self, qubits):
-        chunk = ghzsim._chunk_size(48 << qubits)  # one draw block
+        chunk = ghzsim._chunk_size(48 << qubits)
         draws = np.random.default_rng(qubits).standard_normal((chunk + 1, 2, 1 << qubits))
         rows = draws[:, 0] + 1j * draws[:, 1]
         for count in (1, chunk, chunk + 1):
@@ -419,12 +408,15 @@ class TestRandomPureState:
         assert np.array_equal(a.amplitudes, b.amplitudes)
         assert abs(np.vdot(a.amplitudes, a.amplitudes).real - 1.0) < 1e-12
 
-
-def _reference_draw(qubit_count, rng):
-    """One random state as drawn one at a time: two Gaussian vectors, one norm."""
-    dim = 1 << qubit_count
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return vec / np.linalg.norm(vec)
+    @pytest.mark.parametrize("qubits", [1, 3, 4, 6, 8, 12])
+    def test_draws_match_reference(self, qubits):
+        # Each call reads the stream where the previous one stopped.
+        rng, reference = np.random.default_rng(qubits), np.random.default_rng(qubits)
+        for _ in range(20):
+            re, im = reference.standard_normal((2, 1 << qubits))
+            vec = re + 1j * im
+            expect = vec / np.linalg.norm(vec)
+            assert random_pure_state(qubits, rng).amplitudes.tobytes() == expect.tobytes()
 
 
 def _reference_hadamard(amps):
@@ -457,62 +449,43 @@ def _labels(p):
 class TestBulkInputs:
     """Stacked inputs built in bulk equal inputs built one at a time, bit for bit."""
 
-    @pytest.mark.parametrize("qubits", [4, 6, 8])  # the battery's three sieve layouts
-    def test_chunked_draws_match_one_at_a_time(self, qubits):
-        chunk = ghzsim._chunk_size(48 << qubits)
-        for count in (1, chunk, chunk + 1):
-            blocks = list(ghzsim.random_pure_states(qubits, count, np.random.default_rng(count)))
-            assert [len(b) for b in blocks] == ([chunk, 1] if count > chunk else [count])
-            drawn = np.concatenate(blocks)
-            rng = np.random.default_rng(count)
-            reference = np.stack([_reference_draw(qubits, rng) for _ in range(count)])
-            assert drawn.shape == (count, 1 << qubits)
-            assert np.array_equal(drawn, reference)
-            rng = np.random.default_rng(count)
-            singles = [random_pure_state(qubits, rng).amplitudes for _ in range(count)]
-            assert np.array_equal(drawn, np.stack(singles))
-
     def test_draw_arguments_checked(self):
         rng = np.random.default_rng(0)
-        assert list(ghzsim.random_pure_states(3, 0, rng)) == []
-        with pytest.raises(ValueError, match="state count -1 is negative"):
-            ghzsim.random_pure_states(3, -1, rng)
         with pytest.raises(ValueError, match="at least one qubit"):
-            ghzsim.random_pure_states(0, 1, rng)
+            random_pure_state(0, rng)
         with pytest.raises(ValueError, match="cap"):
-            ghzsim.random_pure_states(21, 1, rng)
+            random_pure_state(21, rng)
+        # Neither rejected call drew from the stream.
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
     def test_array_input_checked_as_state_vector(self):
-        (good,) = ghzsim.random_pure_states(4, 3, np.random.default_rng(1))
-        states = [StateVector(row) for row in good]
-        assert cad_delayed_measurement_distances(1, 1, good).tolist() == [
-            cad_delayed_measurement_equivalence(1, 1, s) for s in states]
+        rng = np.random.default_rng(1)
+        states = [random_pure_state(4, rng) for _ in range(3)]
+        good = np.stack([s.amplitudes for s in states])
         assert ghzsim.x_basis_parity_distributions(good).tolist() == [
             list(x_basis_parity_distribution(s).values()) for s in states]
         bad = good.copy()
         bad[2] *= 1.001
-        for kernel in (lambda a: cad_delayed_measurement_distances(1, 1, a),
-                       ghzsim.x_basis_parity_distributions):
+        kernel = ghzsim.x_basis_parity_distributions
+        for call in (lambda: kernel(bad), lambda: StateVector(bad[2])):
             with pytest.raises(ValueError, match="not normalized"):
-                kernel(bad)
-            with pytest.raises(ValueError, match="power of two"):
-                kernel(np.ones((2, 12)) / math.sqrt(12))
-            with pytest.raises(ValueError, match="2-D"):
-                kernel(good[0])
-            with pytest.raises(ValueError, match="2-D array"):  # states as arrays only
-                kernel(states)
+                call()
+        with pytest.raises(ValueError, match="power of two"):
+            kernel(np.ones((2, 12)) / math.sqrt(12))
+        with pytest.raises(ValueError, match="2-D"):
+            kernel(good[0])
+        with pytest.raises(ValueError, match="2-D array"):  # states as arrays only
+            kernel(states)
         with pytest.raises(ValueError, match="cap"):
-            ghzsim.x_basis_parity_distributions(np.broadcast_to(0.0, (1, 1 << 21)))
-        with pytest.raises(ValueError, match="6 qubits, sieve layout needs 4"):
-            cad_delayed_measurement_distances(1, 1, np.ones((2, 64)) / 8.0)
+            kernel(np.broadcast_to(0.0, (1, 1 << 21)))
 
     # A NaN squared norm compares False with any tolerance; it is no state.
     @pytest.mark.parametrize("call", [
         lambda: StateVector([math.nan, 0.0]),
-        lambda: cad_delayed_measurement_distances(1, 1, np.full((1, 16), math.nan)),
+        lambda: cad_delayed_measurement_equivalence(1, 1, StateVector(np.full(16, math.nan))),
         lambda: ghzsim.x_basis_parity_distributions([[math.nan, 0]]),
         lambda: ghzsim.hadamard_expansion_checks(1, [0], [0], [[math.nan, 0, 0, 0]]),
-    ], ids=["StateVector", "sieve-distances", "parity-distributions", "expansion-checks"])
+    ], ids=["StateVector", "sieve-equivalence", "parity-distributions", "expansion-checks"])
     def test_nan_amplitudes_rejected(self, call):
         with pytest.raises(ValueError, match="state not normalized"):
             call()
@@ -555,7 +528,8 @@ class TestBulkInputs:
 
     @pytest.mark.parametrize("qubits", [1, 3, 6])
     def test_batched_hadamard_matches_one_axis_at_a_time(self, qubits):
-        (states,) = ghzsim.random_pure_states(qubits, 9, np.random.default_rng(qubits))
+        rng = np.random.default_rng(qubits)
+        states = np.stack([random_pure_state(qubits, rng).amplitudes for _ in range(9)])
         dist = ghzsim.x_basis_parity_distributions(states)
         for row, amps in zip(dist, states):
             transformed = _reference_hadamard(amps)
@@ -624,11 +598,11 @@ class TestBatteryMatchesSingleInputs:
             basis = np.eye(1 << (2 * rounds * (p + 1)))
             worst = max(worst, *(cad_delayed_measurement_equivalence(p, rounds, StateVector(row))
                                  for row in basis))
-        # The 6-block layouts, (2, 2) and (1, 3), through the batch kernel.
-        for start in range(0, 4096, 512):
-            basis = np.zeros((512, 4096))
-            basis[np.arange(512), start + np.arange(512)] = 1.0
-            worst = max(worst, *cad_delayed_measurement_distances(2, 2, basis))
+        # The 6-block layouts, (2, 2) and (1, 3), where a basis state has 12 qubits.
+        for index in range(4096):
+            state = np.zeros(4096)
+            state[index] = 1.0
+            worst = max(worst, cad_delayed_measurement_equivalence(2, 2, StateVector(state)))
         assert result.margin == worst == 0.0
         assert result.detail == ("max TV distance over every state: direct and delayed cell "
                                  "maps equal entry for entry at 2/3/4/6 blocks")
@@ -650,9 +624,9 @@ class TestBatteryMatchesSingleInputs:
             monkeypatch.setattr(ghzsim, "_delayed_cells", swapped)
             result = verify.check_sieve_equivalence()
             assert (result.status, result.margin) == ("FAIL", 1.0)
-            state = np.zeros((1, 1 << (2 * blocks)))
-            state[0, original(blocks)[5, 2]] = 1.0
-            assert cad_delayed_measurement_distances(p, rounds, state).tolist() == [1.0]
+            state = np.zeros(1 << (2 * blocks))
+            state[original(blocks)[5, 2]] = 1.0
+            assert cad_delayed_measurement_equivalence(p, rounds, StateVector(state)) == 1.0
 
     def test_key_min_entropy(self, monkeypatch):
         seen = _spy(monkeypatch, "key_min_entropy_checks", consume=list)
