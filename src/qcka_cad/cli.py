@@ -23,10 +23,8 @@ and checks the value, and a switch such as ``quick`` takes a boolean.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import io
-import json
 import math
 import numbers
 import sys
@@ -77,6 +75,8 @@ def report_record(report: KeyRateReport) -> dict:
 
 
 def _csv_text(fields, records) -> str:
+    import csv  # imported here, so that a command loads only its format's module
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(fields)
@@ -86,6 +86,8 @@ def _csv_text(fields, records) -> str:
 
 
 def _json_text(payload) -> str:
+    import json  # imported here, as csv is in _csv_text
+
     return json.dumps(_null_nan(payload), indent=2) + "\n"
 
 
@@ -335,7 +337,8 @@ def cmd_sweep_q(args) -> int:
     steps = (args.q_max - args.q_min) / args.q_step + 1e-9
     if not steps < MAX_SWEEP_POINTS:
         raise _CliError(f"the q grid has more than {MAX_SWEEP_POINTS} points")
-    qs = [args.q_min + i * args.q_step for i in range(math.floor(steps) + 1)]
+    # The last point can land an ulp past q-max (0.058 + 13 * 0.034 > 0.5).
+    qs = [min(args.q_min + i * args.q_step, args.q_max) for i in range(math.floor(steps) + 1)]
     if args.qz is None:
         noises = [NoiseModel(q, tuple(f * q for f in args.qz_factors)) for q in qs]
     else:
@@ -407,7 +410,7 @@ def cmd_simulate(args) -> int:
     for col in fields[1:fields.index("keys_equal_fraction") + 1]:  # the simulated columns
         scale = 1.0 / n if col == "accepted_fraction" else 1.0
         summary[col] = {stat: None if value is None else value * scale
-                        for stat, value in vars(stats[sources.get(col, col)]).items()}
+                        for stat, value in stats[sources.get(col, col)]._asdict().items()}
 
     if args.format == "json":
         payload = {
@@ -439,7 +442,7 @@ def cmd_selftest(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SELFTEST
     if args.format == "json":
-        text = _json_text([vars(r) for r in results])
+        text = _json_text([r._asdict() for r in results])
     else:
         text = "".join(f"{r.status} {r.name} margin={r.margin:.6e}  ({r.detail})\n"
                        for r in results)

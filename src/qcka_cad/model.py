@@ -12,7 +12,7 @@ the reference party and party j+1.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "NoiseModel",
@@ -22,26 +22,30 @@ __all__ = [
     "postcad_error_rates",
 ]
 
+# namedtuple's _replace builds its copy with _make, which skips __new__;
+# the records below route it through their validating constructors.
+_validated_make = classmethod(lambda cls, iterable: cls(*iterable))
 
-@dataclass(frozen=True)
-class NoiseModel:
+
+class NoiseModel(namedtuple("NoiseModel", "x_error z_errors")):
     """X-basis flip rate and per-party Z-basis flip rates, all in [0, 1/2]."""
 
-    x_error: float
-    z_errors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "z_errors", tuple(float(z) for z in self.z_errors))
-        if not 0.0 <= self.x_error <= 0.5:
+    def __new__(cls, x_error: float, z_errors):
+        z_errors = tuple(float(z) for z in z_errors)
+        if not 0.0 <= x_error <= 0.5:
             raise ValueError("x_error must lie in [0, 0.5]")
-        if not self.z_errors:
+        if not z_errors:
             raise ValueError("at least one Z-error rate is required")
-        if any(not 0.0 <= z <= 0.5 for z in self.z_errors):
+        if any(not 0.0 <= z <= 0.5 for z in z_errors):
             raise ValueError("every z_error must lie in [0, 0.5]")
+        return tuple.__new__(cls, (x_error, z_errors))
+
+    _make = _validated_make
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
+class ProtocolParams(namedtuple("ProtocolParams", "bobs half_signals test_size epsilon seed")):
     """Public protocol parameters.
 
     ``half_signals`` is N, half the total signal count: the protocol
@@ -50,22 +54,22 @@ class ProtocolParams:
     Z for key material.
     """
 
-    bobs: int
-    half_signals: int
-    test_size: int
-    epsilon: float
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.bobs < 1:
+    def __new__(cls, bobs: int, half_signals: int, test_size: int, epsilon: float,
+                seed: int = 0):
+        if bobs < 1:
             raise ValueError("need at least one non-reference party")
-        if self.test_size < 1:
+        if test_size < 1:
             raise ValueError("test size must be positive")
-        if 2 * self.test_size >= self.half_signals:
+        if 2 * test_size >= half_signals:
             raise ValueError("test size must satisfy m < N/2")
         # Below the smallest normal float, 1/epsilon overflows in the key length.
-        if not sys.float_info.min <= self.epsilon < 1.0:
+        if not sys.float_info.min <= epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [{sys.float_info.min!r}, 1)")
+        return tuple.__new__(cls, (bobs, half_signals, test_size, epsilon, seed))
+
+    _make = _validated_make
 
     @property
     def key_blocks(self) -> int:

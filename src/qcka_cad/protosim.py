@@ -29,7 +29,7 @@ any subset of trials can be reproduced independently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(namedtuple(
+        "TrialOutcome", "qx_observed accepted rejected postcad_error keys_equal_fraction")):
     """Statistics of one simulated execution.
 
     ``postcad_error`` holds each party's disagreement rate with the
@@ -57,11 +57,7 @@ class TrialOutcome:
     the sieve, as is ``keys_equal_fraction``.
     """
 
-    qx_observed: float
-    accepted: int
-    rejected: int
-    postcad_error: tuple
-    keys_equal_fraction: float
+    __slots__ = ()
 
 
 def _trial_generator(seed: int, trial_index: int) -> np.random.Generator:
@@ -136,13 +132,13 @@ def run_trial(params: ProtocolParams, noise: NoiseModel, trial_index: int = 0) -
     )
 
 
-@dataclass(frozen=True)
-class FieldStats:
-    """Mean, sample standard deviation, and standard error of one field."""
+class FieldStats(namedtuple("FieldStats", "mean std stderr")):
+    """Mean, sample standard deviation, and standard error of one field.
 
-    mean: float
-    std: float | None
-    stderr: float | None
+    ``std`` and ``stderr`` are None for a single trial.
+    """
+
+    __slots__ = ()
 
 
 def aggregate(outcomes) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,12 +33,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # PASS | FAIL
-    margin: float
-    detail: str
+class CheckResult(namedtuple("CheckResult", "name status margin detail")):
+    """One check's outcome: its name, PASS or FAIL, its margin and a detail line."""
+
+    __slots__ = ()
 
 
 class CheckError(Exception):

@@ -459,6 +459,19 @@ class TestSweepQ:
         row = next(csv.DictReader(io.StringIO(out)))
         assert row["qz"] == "0.08,0.02"
 
+    @pytest.mark.parametrize("argv", [
+        # 0.058 + 13 * 0.034 and 0.085 + 9 * 0.035 each land an ulp past q-max:
+        # Q itself past 0.5, or a QZ of 1.25 * Q past 0.5.
+        ("--q-min", "0.058", "--q-max", "0.5", "--q-step", "0.034", "--qz", "0.01"),
+        ("--q-min", "0.085", "--q-max", "0.4", "--q-step", "0.035", "--qz-factors", "1.25"),
+    ])
+    def test_last_point_clamped_to_q_max(self, capsys, argv):
+        code, out, err = run_cli(capsys, "sweep-q", "--signals", "1e7", *argv)
+        assert (code, err) == (EXIT_OK, "")
+        last = list(csv.DictReader(io.StringIO(out)))[-1]
+        assert last["q"] == argv[3]
+        assert all(float(z) <= 0.5 for z in last["qz"].split(","))
+
 
 class TestSweepN:
     def test_rates_nondecreasing_in_signals(self, capsys):

@@ -42,13 +42,15 @@ def run_cold(code: str) -> subprocess.CompletedProcess:
 
 def loaded_after(statement: str) -> dict:
     """Run ``statement`` cold; report its exit code, stdout and what was imported."""
+    # The module list is taken before json is imported to report it.
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, sys\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    {statement}\n"
-        "print(json.dumps({'result': result, 'stdout': out.getvalue(),\n"
-        "                  'modules': sorted(sys.modules)}))\n"
+        "modules = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps({'result': result, 'stdout': out.getvalue(), 'modules': modules}))\n"
     )
     done = run_cold(code)
     assert done.returncode == 0, done.stderr
@@ -73,14 +75,19 @@ class TestNoNumpy:
         assert "numpy" not in state["modules"]
         for name in TRACED:
             assert f"qcka_cad.{name}" in state["modules"]
+        # The records are named tuples, and each output format is imported
+        # by the command that prints it.
+        assert not set(state["modules"]) & {"dataclasses", "inspect", "json", "csv"}
 
-    @pytest.mark.parametrize("argv", [RATE, SWEEP_Q, SWEEP_N],
+    @pytest.mark.parametrize("argv, other_format", [(RATE, "json"), (SWEEP_Q, "csv"),
+                                                    (SWEEP_N, "json")],
                              ids=["rate", "sweep-q", "sweep-n"])
-    def test_analytic_commands(self, argv):
+    def test_analytic_commands(self, argv, other_format):
         # Integer flags such as --signals 1e7 are parsed exactly from their
         # digits, without the decimal or fractions modules.
         state = loaded_after(f"from qcka_cad import cli; result = cli.main({argv!r})")
-        assert not set(state["modules"]) & {"numpy", "decimal", "_decimal", "fractions"}
+        assert not set(state["modules"]) & {"numpy", "decimal", "_decimal", "fractions",
+                                            "dataclasses", other_format}
         assert (state["result"], state["stdout"]) == warm_stdout(argv)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qcka_cad.bitcore import binary_entropy
-from qcka_cad.keyrate import _cbrt, geometric_grid, key_length, optimize_m
+from qcka_cad.keyrate import KeyRateReport, _cbrt, geometric_grid, key_length, optimize_m
 from qcka_cad.protosim import NoiseModel, ProtocolParams, analytic_pa, run_trial
 from qcka_cad.sampling import delta_from_epsilon
 
@@ -305,6 +305,11 @@ class TestKeyLength:
         assert "no accepted blocks" in report.flags
         assert report.rate == 0.0
 
+    def test_flags_default_to_empty(self):
+        report = key_length(ProtocolParams(1, 1000, 100, 1e-6), NoiseModel(0.1, (0.1,)))
+        assert report.flags == ()
+        assert KeyRateReport(*report[:-1]) == report
+
 
 class TestRateProperties:
     def test_monotone_nonincreasing_in_q(self):
@@ -360,10 +365,16 @@ class TestOptimizeM:
             optimize_m(1, half + 1, 1e-36, NoiseModel(0.0, (0.0,)))
 
     def test_no_positive_rate_flagged(self):
-        m_star, report = optimize_m(1, 10_000, 1e-36, NoiseModel(0.25, (0.25,)))
+        noise = NoiseModel(0.25, (0.25,))
+        m_star, report = optimize_m(1, 10_000, 1e-36, noise)
         assert report.rate == 0.0
         assert "no positive rate" in report.flags
         assert 1 <= m_star < 5_000
+        # The midpoint of the 64-point grid, as key_length reports it, flagged.
+        grid = sorted({min(max(round(v), 1), 4_999) for v in geometric_grid(1, 4_999, 64)})
+        assert m_star == grid[len(grid) // 2]
+        plain = key_length(ProtocolParams(1, 10_000, m_star, 1e-36), noise)
+        assert report == plain._replace(flags=("no positive rate",))
 
     def test_beats_fixed_fractions(self):
         # The discrete golden-section lands on the optimum's plateau; allow

@@ -8,7 +8,9 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
+from qcka_cad.keyrate import key_length
 from qcka_cad.protosim import (
+    FieldStats,
     NoiseModel,
     ProtocolParams,
     TrialOutcome,
@@ -18,6 +20,7 @@ from qcka_cad.protosim import (
     postcad_error_rates,
     run_trial,
 )
+from qcka_cad.verify import CheckResult
 
 
 def _params(bobs, n, m=None, seed=0):
@@ -123,12 +126,19 @@ class TestAnalytics:
 
 class TestValidation:
     def test_noise_model(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x_error must lie in \[0, 0.5\]$"):
             NoiseModel(0.6, (0.1,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^at least one Z-error rate is required$"):
             NoiseModel(0.1, ())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^every z_error must lie in \[0, 0.5\]$"):
             NoiseModel(0.1, (0.7,))
+        with pytest.raises(ValueError, match="^x_error"):  # x_error is checked first
+            NoiseModel(0.6, ())
+        noise = NoiseModel(0.1, [np.float64(0.25), 0])
+        assert noise.z_errors == (0.25, 0.0)
+        assert [type(z) for z in noise.z_errors] == [float, float]
+        with pytest.raises(ValueError, match="every z_error"):
+            noise._replace(z_errors=(0.7,))  # copies are validated too
 
     def test_protocol_params(self):
         with pytest.raises(ValueError, match="m < N/2"):
@@ -140,6 +150,27 @@ class TestValidation:
         p = ProtocolParams(2, 150, 50, 1e-36)
         assert p.key_blocks == 100
         assert p.total_signals == 300
+        assert p.seed == 0
+        assert p._replace(seed=5) == ProtocolParams(2, 150, 50, 1e-36, seed=5)
+        with pytest.raises(ValueError, match="m < N/2"):
+            p._replace(test_size=75)
+
+    @pytest.mark.parametrize("record", [
+        NoiseModel(0.1, (0.1,)),
+        ProtocolParams(1, 100, 10, 1e-36),
+        key_length(ProtocolParams(1, 100, 10, 1e-36), NoiseModel(0.1, (0.1,))),
+        TrialOutcome(0.1, 7, 3, (0.1,), 0.9),
+        FieldStats(0.5, None, None),
+        CheckResult("name", "PASS", 0.0, "detail"),
+    ], ids=lambda record: type(record).__name__)
+    def test_records_are_immutable(self, record):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+        # Records are named tuples: they unpack and compare as plain tuples.
+        assert record == tuple(record) == type(record)(*record)
 
     def test_noise_length_must_match_parties(self):
         with pytest.raises(ValueError, match="Z rates"):
