@@ -322,8 +322,8 @@ def _delayed_sources(blocks: int) -> np.ndarray:
     amplitude.  A CNOT only moves amplitudes, so running the circuit on
     indices gives the same register as running it on amplitudes.
     """
-    system = 2 * blocks
-    sources = np.full((1 << system, 1 << blocks), 1 << system, dtype=np.intp)
+    system = 2 * blocks  # the smallest dtype that holds the zero index 2**system
+    sources = np.full((1 << system, 1 << blocks), 1 << system, np.min_scalar_type(1 << system))
     sources[:, 0] = np.arange(1 << system)
     sources = sources.reshape((2,) * (system + blocks))
     for b in range(blocks):
@@ -337,7 +337,7 @@ def _cell_map(sources: np.ndarray) -> np.ndarray:
     live = sources != len(sources) ** 2
     if not (live.sum(axis=1) == 1).all():
         raise ValueError("a delayed-table cell does not have exactly one source")
-    cells = np.where(live, sources, 0).sum(axis=1)
+    cells = np.where(live, sources, 0).sum(axis=1, dtype=np.intp)
     cells.setflags(write=False)
     return cells
 

@@ -26,12 +26,13 @@ Failure bookkeeping for security parameter eps:
     eps_fail  = 2*eps^(1/3)           (probability the bound fails)
     eps_PA    = 9*eps + 2*eps^(1/3)   (distance of the extracted key)
 
-:func:`key_length` evaluates all of this in one body; the min-entropy
-bound, leak_EC and the three eps constants are fields of its
-:class:`KeyRateReport` (``hmin``, ``leak_ec``, ``epsilon_prime``,
-``epsilon_fail``, ``epsilon_pa``).  The engine evaluates the closed
-forms of :mod:`qcka_cad.model` and imports only the standard library, so
-the ``rate`` and ``sweep-*`` commands start without loading numpy.
+:func:`key_length` evaluates all of this in one body, with pa and the
+entropy of the worst e_j cached per noise model; the min-entropy bound,
+leak_EC and the three eps constants are fields of its :class:`KeyRateReport`
+(``hmin``, ``leak_ec``, ``epsilon_prime``, ``epsilon_fail``, ``epsilon_pa``).
+The engine evaluates the closed forms of :mod:`qcka_cad.model` and
+imports only the standard library, so the ``rate`` and ``sweep-*``
+commands start without loading numpy.
 """
 
 from __future__ import annotations
@@ -78,6 +79,19 @@ def _cbrt(x: float) -> float:
             return math.ldexp(y, shift)  # the root is a normal float: exact
 
 
+# key_length's terms that depend on the noise model only, computed once
+# per model: optimize_m probes one model about 80 times.
+@functools.lru_cache(maxsize=256)
+def _acceptance(z_errors: tuple) -> float:
+    return analytic_pa(z_errors)
+
+
+@functools.lru_cache(maxsize=256)
+def _leak_entropy(z_errors: tuple, error_formula: str) -> float:
+    """h of the worst post-sieve error rate, each clamped at 1/2."""
+    return binary_entropy(max(min(0.5, e) for e in postcad_error_rates(z_errors, error_formula)))
+
+
 class KeyRateReport(namedtuple("KeyRateReport", [
     "bobs", "half_signals", "test_size", "key_blocks", "epsilon",
     "x_error", "z_errors", "error_formula",
@@ -113,7 +127,7 @@ def key_length(
             f"noise model has {len(noise.z_errors)} Z rates for {params.bobs} parties"
         )
     n, eps = params.key_blocks, params.epsilon
-    pa = analytic_pa(noise.z_errors)
+    pa = _acceptance(noise.z_errors)
     if qx is None:
         qx = analytic_qx(noise.x_error)
     if n_a is None:
@@ -127,8 +141,8 @@ def key_length(
 
     delta = delta_from_epsilon(params.half_signals, params.test_size, eps)
     hmin = n_a * (1.0 - binary_entropy(min(0.5, (n / n_a) * (qx + delta)))) if n_a else 0.0
-    worst = max(min(0.5, e) for e in postcad_error_rates(noise.z_errors, error_formula))
-    leak = n_a * binary_entropy(worst) + math.log2(2.0 * params.bobs) - math.log2(eps)
+    leak = (n_a * _leak_entropy(noise.z_errors, error_formula)
+            + math.log2(2.0 * params.bobs) - math.log2(eps))
     ell = hmin - leak - 2.0 * math.log2(1.0 / eps)
     rate = ell / params.total_signals if ell > 0.0 else 0.0
     root = _cbrt(eps)

@@ -48,14 +48,17 @@ def delta_from_epsilon(population: int, sample_size: int, epsilon: float) -> flo
     Chosen so that the bound of :func:`sampling_failure_log` at the
     returned delta equals epsilon^2, i.e. the square root of the failure bound equals epsilon.
     Evaluated via log(epsilon) directly, so epsilon as small as 1e-36 is
-    safe.
+    safe.  Raises ValueError once m * N lies beyond the float range.
     """
     if 2 * sample_size >= population:
         raise ValueError("sample size must satisfy m < N/2")
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     log_term = math.log(2.0) - 2.0 * math.log(epsilon)  # ln(2 / eps^2)
-    return math.sqrt((population + 2.0) * log_term / (sample_size * population))
+    try:
+        return math.sqrt((population + 2.0) * log_term / (sample_size * population))
+    except OverflowError:
+        raise ValueError("sample size times population overflows a float") from None
 
 
 def empirical_sampling_failure(q: BitString, sample_size: int, delta: float) -> float:

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import random
 import sys
 import weakref
 
@@ -232,12 +233,56 @@ class TestUsageErrors:
          "--trials", "1e9"),
         ("simulate", "--signals", "1e4", "--m", "100", "--q", "0", "--qz", "0",
          "--p", "2", "--trials", "500001"),
+        # m * N past the float range, in the sampling deviation.
+        ("rate", "--signals", "1e200", "--m", "1e150", "--q", "0.05", "--qz", "0.05"),
+        ("sweep-q", "--signals", "1e300", "--q-max", "0.02", "--m", "1e200", "--qz", "0.01"),
+        ("sweep-n", "--signals-min", "1e300", "--signals-max", "1e301", "--points", "2",
+         "--m", "1e200", "--q", "0.05", "--qz", "0.05"),
     ])
     def test_unbounded_sizes_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_seeded_extreme_argvs_end_in_an_exit_code(self, capsys):
+        # Every input ends in exit 0-3 with at most one stderr line.  A large
+        # --m goes with a large signal count on purpose: random draws pair
+        # them only about once in 4,000 argvs.
+        extremes = ["0", "-1", "nan", "inf", "5e-324", "1e19", "1e200", "1e308"]
+        typical = {
+            "--signals": ["1e4", "1e6", "1e7"], "--signals-min": ["1e4", "1e5"],
+            "--signals-max": ["1e6", "1e7"], "--m": ["10", "1000", "1e5"],
+            "--q": ["0.02", "0.05", "0.5"], "--qz": ["0.02", "0.01,0.05", "0.5"],
+            "--q-min": ["0", "0.01"], "--q-max": ["0.02", "0.1"], "--q-step": ["0.01", "0.05"],
+            "--qz-factors": ["1", "0.5,2"], "--p": ["1", "2", "3"], "--epsilon": ["1e-36", "0.5"],
+            "--points": ["1", "4"], "--trials": ["1", "2"],
+        }
+        flags = {
+            "rate": ("--signals", "--m", "--q", "--qz", "--p", "--epsilon"),
+            "sweep-q": ("--signals", "--m", "--q-min", "--q-max", "--q-step", "--qz",
+                        "--qz-factors", "--p", "--epsilon"),
+            "sweep-n": ("--signals-min", "--signals-max", "--points", "--m", "--q", "--qz",
+                        "--p", "--epsilon"),
+            "simulate": ("--signals", "--m", "--q", "--qz", "--p", "--epsilon", "--trials"),
+        }
+        rng = random.Random(25)
+        codes = set()
+        for _ in range(300):
+            command = rng.choice(sorted(flags))
+            argv = [command, "--format", rng.choice(["csv", "json"])]
+            for flag in flags[command]:
+                if rng.random() < 0.9:
+                    argv += [flag, rng.choice(extremes if rng.random() < 0.15 else typical[flag])]
+            if command != "simulate" and rng.random() < 0.25:
+                signals = "--signals-max" if command == "sweep-n" else "--signals"
+                argv += [signals, rng.choice(["1e200", "1e300", "1e308"]),
+                         "--m", rng.choice(["1e150", "1e200"])]
+            code, _, err = run_cli(capsys, *argv)
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_ZERO_RATE, EXIT_SELFTEST), argv
+            assert err.count("\n") <= 1, argv
+            codes.add(code)
+        assert codes == {EXIT_OK, EXIT_USAGE, EXIT_ZERO_RATE}
 
     @pytest.mark.parametrize("argv", [
         ("rate", "--signals", "1e7", "--q", "0.05", "--qz", "0.05"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,6 +268,21 @@ class TestSieveEquivalence:
         probs = padded[:, ghzsim._delayed_sources(blocks).ravel()]
         expect = probs.reshape(count, size, size, size).sum(axis=2)
         assert np.array_equal((np.abs(amps) ** 2)[:, ghzsim._delayed_cells(blocks)], expect)
+        assert ghzsim._delayed_cells(blocks).dtype == np.intp
+
+    def test_cold_six_block_map_stays_small(self):
+        # The register holds source indices up to 2**12, so it is uint16:
+        # an intp register (2 MB, copied once per CNOT) peaked at 4.6 MB.
+        ghzsim._delayed_cells.cache_clear()
+        tracemalloc.start()
+        try:
+            cells = ghzsim._delayed_cells(6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert ghzsim._delayed_sources(6).dtype == np.uint16
+        assert np.array_equal(cells, ghzsim._direct_cells(6))
 
     def test_cell_map_needs_one_source_per_cell(self):
         sources = ghzsim._delayed_sources(2).copy()

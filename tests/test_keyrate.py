@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from qcka_cad.bitcore import binary_entropy
-from qcka_cad.keyrate import KeyRateReport, _cbrt, geometric_grid, key_length, optimize_m
+from qcka_cad.keyrate import (
+    KeyRateReport, _acceptance, _cbrt, _leak_entropy, geometric_grid, key_length, optimize_m,
+)
 from qcka_cad.protosim import NoiseModel, ProtocolParams, analytic_pa, run_trial
 from qcka_cad.sampling import delta_from_epsilon
 
@@ -181,6 +183,14 @@ class TestMinEntropyBound:
         for qx_plus_delta in (-0.1, math.nan):
             with pytest.raises(ValueError, match="qx must be nonnegative"):
                 ref_report(50 * SCALE, qx_plus_delta)
+        # The cached noise-model terms are looked up where they are used, so
+        # an unknown formula does not mask an earlier input error.
+        params, noise = ProtocolParams(2, 10**6, 10**5, 1e-36), NoiseModel(0.02, (0.02, 0.01))
+        for kwargs, message in (({"n_a": -1}, "^need 0 <= n_a <= n$"),
+                                ({"n_a": 1.5}, "^n_a must be an integer, got 1.5$"),
+                                ({"qx": -1.0}, "^qx must be nonnegative$")):
+            with pytest.raises(ValueError, match=message):
+                key_length(params, noise, error_formula="bogus", **kwargs)
 
 
     def test_accepted_count_must_be_an_integer(self):
@@ -219,6 +229,23 @@ class TestLeakEc:
         assert cons - ind == pytest.approx(
             1000 * (binary_entropy(0.01 / pa) - binary_entropy(0.01 / 0.82)), rel=1e-9
         )
+
+    def test_reports_match_with_a_cold_and_a_warm_cache(self):
+        # Interleaved formulas on one noise model: a cache keyed on the Z
+        # rates alone would hand one formula the other's leak entropy.
+        noise = NoiseModel(0.05, (0.1, 0.025))
+        calls = [(ProtocolParams(2, 10**6, m, 1e-36), formula)
+                 for m in (10**4, 10**5)
+                 for formula in ("conservative", "independent", "conservative")]
+        cold = []
+        for params, formula in calls:
+            _acceptance.cache_clear()
+            _leak_entropy.cache_clear()
+            cold.append(key_length(params, noise, error_formula=formula))
+        warm = [key_length(params, noise, error_formula=formula) for params, formula in calls]
+        assert _leak_entropy.cache_info().currsize == 2 and _acceptance.cache_info().currsize == 1
+        assert cold[0].leak_ec != cold[1].leak_ec
+        assert [repr(r) for r in warm] == [repr(r) for r in cold]
 
     def test_zero_acceptance_rejected(self):
         # 0.5**1075 underflows: no block is accepted under either formula.

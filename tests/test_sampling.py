@@ -87,6 +87,14 @@ class TestDeltaFromEpsilon:
         with pytest.raises(ValueError):
             delta_from_epsilon(100, 10, 1.0)
 
+    def test_product_past_the_float_range_rejected(self):
+        # m * N = 5e349 cannot become a float; 1e154 * 1e154 still can.
+        with pytest.raises(ValueError, match="^sample size times population overflows a float$"):
+            delta_from_epsilon(5 * 10**199, 10**150, 1e-36)
+        delta = delta_from_epsilon(10**154, 10**153, 1e-36)
+        assert delta == math.sqrt((10**154 + 2.0) * (math.log(2.0) - 2.0 * math.log(1e-36))
+                                  / (10**153 * 10**154))
+
 
 def enumerated_failure(q, m, delta):
     """Fraction of all m-subsets whose weight gap exceeds delta, by enumeration."""
