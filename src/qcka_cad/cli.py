@@ -319,7 +319,7 @@ def _point_report(args, half_signals: int, noise: NoiseModel) -> KeyRateReport:
 def _emit_reports(args, reports) -> int:
     records = [report_record(r) for r in reports]
     if args.format == "json":
-        _emit(_json_text(records if len(records) > 1 else records[0]), args.out)
+        _emit(_json_text(records[0] if args.command == "rate" else records), args.out)
     else:
         _emit(_csv_text(REPORT_FIELDS, records), args.out)
     return EXIT_OK if any(r.rate > 0.0 for r in reports) else EXIT_ZERO_RATE
@@ -351,7 +351,8 @@ def cmd_sweep_n(args) -> int:
     if args.signals_max < args.signals_min or not 1 <= args.points <= MAX_SWEEP_POINTS:
         raise _CliError(f"need signals-min <= signals-max and 1 <= points <= {MAX_SWEEP_POINTS}")
     grid = geometric_grid(args.signals_min, args.signals_max, args.points)
-    totals = sorted({max(2, 2 * int(round(v / 2))) for v in grid})
+    # Above 2**53 a float grid point can fall off the range; clamp it back.
+    totals = sorted({min(max(2 * round(v / 2), args.signals_min), args.signals_max) for v in grid})
     noise = NoiseModel(args.q, args.qz)
     reports = [_point_report(args, total // 2, noise) for total in totals]
     return _emit_reports(args, reports)

@@ -17,26 +17,23 @@ the handful of quantum facts the key-rate analysis relies on:
   measurement.
 
 Everything is computed by exact marginalization of squared amplitudes,
-never by sampling, so the checks are deterministic.  The GHZ and
-min-entropy kernels take a batch in one format: states as the rows of a
-2-D amplitude array, each checked as the constructor checks one state, GHZ
-labels as integer word indices (first bit most significant; never spelled
-as bits) and phase bits, parity sets as a sequence of sets of word
-indices.  Each input gets the same bits as a batch of one, which is what
-the single-input functions are; they take a StateVector in place of an
-amplitude row.  ``ghz_states`` builds a stacked family of GHZ basis
-states; row norms are batched BLAS dots, bit for bit ``np.linalg.norm``.
-The min-entropy kernel checks its parity sets in chunks whose largest
-temporary (the chunk's superpositions) stays within 512 KiB, each chunk
-with array operations, on head vectors built once per layout.  The sieve
-check takes one state: each sieve order has a read-only cell map, built
-once per layout (the delayed one by running its CNOTs on indices), so
-both tables are gathers from one square of the state.  States are dense
-complex vectors with a hard cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits
-(16 MiB per vector), checked before anything is allocated; within a GHZ
-block, qubit 1 belongs to the first party and qubits 2..p+1 to the others.
-Qubit 1 is the most significant bit of the amplitude index, so in the
-``(2,) * k`` axis view every kernel works on, qubit q is axis q - 1.
+never by sampling, so the checks are deterministic.  The kernels take a
+batch in one format: states as the rows of a 2-D amplitude array, GHZ
+labels as integer word indices (first bit most significant) and phase
+bits, parity sets as a sequence of sets of word indices.  ``_stacked`` is
+the one check that amplitudes form states: a power-of-two row size within
+the cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per row), checked
+before anything is converted, and squared norms within 1e-10 of 1.  A
+StateVector is a checked, read-only copy of one row, and a single-input
+kernel gives the bits of its batch kernel on a batch of one.  Row norms
+are batched BLAS dots, bit for bit ``np.linalg.norm``.  The min-entropy
+kernel takes its parity sets in chunks whose superpositions stay within
+512 KiB.  The sieve check gathers both orders' tables from one square of
+the state through read-only cell maps built once per layout (the delayed
+one by running its CNOTs on indices).  Within a GHZ block, qubit 1 belongs
+to the first party and qubits 2..p+1 to the others.  Qubit 1 is the most
+significant bit of the amplitude index, so in the ``(2,) * k`` axis view
+every kernel works on, qubit q is axis q - 1.
 """
 
 from __future__ import annotations
@@ -75,23 +72,6 @@ def _check_cap(k: int, what: str | None = None) -> None:
         raise ValueError(f"{what or f'{k} qubits'} exceeds the qubit cap of {DEFAULT_QUBIT_CAP}")
 
 
-def _qubits(size: int) -> int:
-    """The qubit count of ``size`` amplitudes, within the cap."""
-    if size < 2 or size & (size - 1):
-        raise ValueError(f"amplitude count {size} is not a power of two >= 2")
-    k = size.bit_length() - 1
-    _check_cap(k)
-    return k
-
-
-def _check_norms(norm_sq) -> None:
-    """Raise unless every squared norm is 1 within ``_NORM_ATOL``."""
-    norm_sq = np.atleast_1d(norm_sq)
-    off = norm_sq[~(np.abs(norm_sq - 1.0) <= _NORM_ATOL)]  # NaN is off too
-    if off.size:
-        raise ValueError(f"state not normalized: |amps|^2 = {float(off[0])!r}")
-
-
 class StateVector:
     """Dense, normalized pure state over ``qubit_count`` qubits.
 
@@ -103,13 +83,11 @@ class StateVector:
     __slots__ = ("_amps", "_k")
 
     def __init__(self, amplitudes):
-        arr = np.asarray(amplitudes)
-        k = _qubits(arr.size)
-        arr = arr.astype(np.complex128).ravel()
-        _check_norms(np.vdot(arr, arr).real)
-        arr.setflags(write=False)
-        self._amps = arr
-        self._k = k
+        # A copy, so the caller's array is neither shared nor frozen.
+        amps = _stacked(np.reshape(amplitudes, (1, -1)))[0].copy()
+        amps.setflags(write=False)
+        self._amps = amps
+        self._k = amps.size.bit_length() - 1
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -124,16 +102,23 @@ class StateVector:
         return f"StateVector(qubits={self._k})"
 
 
-def _stacked(states: np.ndarray) -> np.ndarray:
-    """A 2-D array of amplitude rows as complex rows, each row checked as
-    the constructor checks one state."""
+def _stacked(states) -> np.ndarray:
+    """A 2-D array of amplitude rows as complex rows, each checked to be a
+    state: a power-of-two size >= 2 within the qubit cap, checked before
+    any conversion, and a squared norm within ``_NORM_ATOL`` of 1."""
     states = np.asarray(states)
     if states.ndim != 2:
         raise ValueError(f"expected a 2-D array of amplitude rows, got {states.ndim} dimensions")
-    _qubits(states.shape[1])
+    size = states.shape[1]
+    if size < 2 or size & (size - 1):
+        raise ValueError(f"amplitude count {size} is not a power of two >= 2")
+    _check_cap(size.bit_length() - 1)
     amps = states.astype(np.complex128, copy=False)
     re, im = amps.real, amps.imag
-    _check_norms(np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im))
+    norm_sq = np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+    off = norm_sq[~(np.abs(norm_sq - 1.0) <= _NORM_ATOL)]  # NaN is off too
+    if off.size:
+        raise ValueError(f"state not normalized: |amps|^2 = {float(off[0])!r}")
     return amps
 
 
@@ -277,16 +262,6 @@ def hadamard_expansion_check(p: int, x: int, y: int, state: StateVector | None =
 
 # The largest temporary a batched kernel builds for one chunk of inputs.
 _CHUNK_BYTES = 1 << 19
-
-
-def _chunk_size(nbytes: int) -> int:
-    """Inputs per chunk when each adds ``nbytes`` to the largest temporary."""
-    return max(1, _CHUNK_BYTES // nbytes)
-
-
-def _chunks(items: Sequence, size: int):
-    """A sequence or an array in slices of ``size`` items."""
-    return (items[start:start + size] for start in range(0, len(items), size))
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +438,10 @@ def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
         raise ValueError("need n >= 1 and p >= 1")
     k = n * (p + 1)
     _check_cap(k)
+    size = max(1, _CHUNK_BYTES // (16 << k))  # sets per chunk: each adds its superposition
     results = []
-    for chunk in _chunks(word_sets, _chunk_size(16 << k)):
-        results += _key_min_entropies(n, p, *_parity_picks(n, chunk))
+    for start in range(0, len(word_sets), size):
+        results += _key_min_entropies(n, p, *_parity_picks(n, word_sets[start:start + size]))
     return results
 
 

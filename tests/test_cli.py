@@ -531,6 +531,44 @@ class TestSweepN:
         assert signals == sorted(signals)
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
+    # Above 2**53 a float grid end falls off the flag value; the rows stay
+    # inside [signals-min, signals-max], exactly.
+    @pytest.mark.parametrize("lo, hi, points, totals", [
+        ("1e3", "18014398509481990", "2", [1000, 18014398509481990]),
+        ("18014398509481990", "18014398509481990", "3", [18014398509481990]),
+    ])
+    def test_rows_stay_inside_the_range(self, capsys, lo, hi, points, totals):
+        code, out, err = run_cli(capsys, "sweep-n", "--signals-min", lo, "--signals-max", hi,
+                                 "--points", points, "--q", "0.05", "--qz", "0.05")
+        assert (code, err) == (EXIT_OK, "")
+        assert [int(r["signals"]) for r in csv.DictReader(io.StringIO(out))] == totals
+
+    def test_past_float_range_end_is_the_flag_value(self, capsys):
+        code, out, err = run_cli(capsys, "sweep-n", "--signals-min", "1e3", "--signals-max",
+                                 "1e30", "--points", "2", "--q", "0.05", "--qz", "0.05")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: half_signals 500000000000000000000000000000 too large "
+                       "for the test-size grid\n")
+
+
+class TestJsonShape:
+    """``rate`` prints one object; a sweep prints a list, even of one row."""
+
+    @pytest.mark.parametrize("argv, kind", [
+        (("rate", "--signals", "1e6", "--q", "0.05", "--qz", "0.05"), dict),
+        (("sweep-q", "--signals", "1e6", "--q-min", "0.05", "--q-max", "0.05",
+          "--qz-factors", "1"), list),
+        (("sweep-n", "--signals-min", "1e6", "--signals-max", "1e6", "--points", "3",
+          "--q", "0.05", "--qz", "0.05"), list),
+    ], ids=["rate", "sweep-q", "sweep-n"])
+    def test_one_row(self, capsys, argv, kind):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert (code, type(payload)) == (EXIT_OK, kind)
+        record = payload if kind is dict else payload[0]
+        assert (list(record), record["signals"]) == (REPORT_FIELDS, 1_000_000)
+        assert kind is dict or len(payload) == 1
+
 
 class TestSimulate:
     def test_golden_header_and_footer(self, capsys):

@@ -26,6 +26,12 @@ from qcka_cad.ghzsim import (
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _chunk(nbytes):
+    """Inputs per chunk of a batched kernel when each adds ``nbytes`` to its
+    largest temporary."""
+    return max(1, ghzsim._CHUNK_BYTES // nbytes)
+
+
 class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -52,6 +58,28 @@ class TestStateVector:
         s = ghz_state(1, 0, 0)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
+
+    def test_layouts_and_dtypes_give_the_same_amplitudes(self):
+        # Bit for bit the C-order complex128 copy of the input.
+        amps = random_pure_state(3, np.random.default_rng(5)).amplitudes
+        grid = amps.reshape(2, 4)
+        fortran = np.asfortranarray(grid)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        for given in (amps.tolist(), grid, fortran,
+                      np.array([0.5, 0.5j, -0.5, 0.5], dtype=np.complex64)):
+            expect = np.asarray(given).astype(np.complex128).ravel()
+            state = StateVector(given)
+            assert state.amplitudes.dtype == np.complex128
+            assert state.amplitudes.tobytes() == expect.tobytes()
+            assert state.qubit_count == expect.size.bit_length() - 1
+
+    def test_caller_array_stays_writable_and_unshared(self):
+        given = np.array(ghzsim.ghz_states(2, [1], [0])[0])
+        state = StateVector(given)
+        assert given.flags.writeable
+        assert not np.shares_memory(given, state.amplitudes)
+        given[1] = 0.0
+        assert state.amplitudes[1] == INV_SQRT2
 
     def test_tensor_orders_left_first(self):
         zero = StateVector([1.0, 0.0])
@@ -363,7 +391,7 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
     def test_min_entropy_batches_match_batch_of_one(self, n, p):
-        chunk = ghzsim._chunk_size(16 << (n * (p + 1)))  # the superposition
+        chunk = _chunk(16 << (n * (p + 1)))  # the superposition
         rng = np.random.default_rng(10 * n + p)
         everything = list(range(2**n))
         sets = [everything, everything[:1] * 3, everything[::-1] + everything[:2]]
@@ -383,19 +411,28 @@ class TestBatchedKernels:
             with pytest.raises(ValueError):
                 table[0] = 0
 
-    def test_chunks_stay_within_the_byte_budget(self):
-        for qubits in range(1, 21):
-            nbytes = 16 << qubits
-            size = ghzsim._chunk_size(nbytes)
-            assert size >= 1 and (size == 1 or size * nbytes <= ghzsim._CHUNK_BYTES)
-        assert ghzsim._chunk_size(16 << 8) == 128  # the (4, 1) superpositions
+    def test_min_entropy_kernel_stays_within_the_byte_budget(self):
+        # All 255 non-empty sets at (3, 2): 255 superpositions of 2**9
+        # amplitudes are 2 MB unchunked (a 3.2 MB peak), 0.5 MB a chunk.
+        sets = [list(itertools.compress(range(8), keep))
+                for keep in itertools.product((0, 1), repeat=8) if any(keep)]
+        assert _chunk(16 << 9) == 64
+        ghzsim._head_vectors(3)
+        tracemalloc.start()
+        try:
+            results = key_min_entropy_checks(3, 2, sets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 255
+        assert peak < 1_500_000
 
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
                                       (4, 1), (3, 2)])
     def test_row_norms_of_superpositions_match_norm(self, n, p):
         # The min-entropy kernel's broadcast superpositions, 2**2 .. 2**9 amplitudes.
         k = n * (p + 1)
-        chunk = ghzsim._chunk_size(16 << k)
+        chunk = _chunk(16 << k)
         rng = np.random.default_rng(k)
         heads = ghzsim._head_vectors(n)[rng.integers(0, 2**n, size=(chunk + 1, 3))].sum(axis=1)
         block_axes = ((2,) + (1,) * p) * n
@@ -407,7 +444,7 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("qubits", [4, 6, 8])
     def test_row_norms_of_draws_match_norm(self, qubits):
-        chunk = ghzsim._chunk_size(48 << qubits)
+        chunk = _chunk(48 << qubits)
         draws = np.random.default_rng(qubits).standard_normal((chunk + 1, 2, 1 << qubits))
         rows = draws[:, 0] + 1j * draws[:, 1]
         for count in (1, chunk, chunk + 1):
@@ -706,7 +743,7 @@ class TestParitySetDecoder:
         n, p = 2, 2
         message = ("empty parity-word set" if first is None
                    else f"word index {first!r} is not an integer in [0, 2**{n})")
-        chunk = ghzsim._chunk_size(16 << (n * (p + 1)))
+        chunk = _chunk(16 << (n * (p + 1)))
         sets = [[0, 3]] * (chunk + 1) + [bad, [1]]
         for call in (lambda: key_min_entropy_check(n, p, bad),
                      lambda: key_min_entropy_checks(n, p, sets)):
