@@ -354,7 +354,14 @@ def cmd_sweep_n(args) -> int:
     # Above 2**53 a float grid point can fall off the range; clamp it back.
     totals = sorted({min(max(2 * round(v / 2), args.signals_min), args.signals_max) for v in grid})
     noise = NoiseModel(args.q, args.qz)
-    reports = [_point_report(args, total // 2, noise) for total in totals]
+    # A total needs a test size m >= 1 (or the given --m) with 2m < N; with
+    # none left, the first total raises its own error.
+    smallest = 1 if args.m is None else args.m
+    kept = [total for total in totals if total // 2 > 2 * smallest] or totals
+    reports = [_point_report(args, total // 2, noise) for total in kept]
+    if len(kept) < len(totals):
+        print(f"note: skipped {len(totals) - len(kept)} of {len(totals)} signal totals "
+              "too small for a valid test size", file=sys.stderr)
     return _emit_reports(args, reports)
 
 

@@ -27,13 +27,15 @@ before anything is converted, and squared norms within 1e-10 of 1.  A
 StateVector is a checked, read-only copy of one row, and a single-input
 kernel gives the bits of its batch kernel on a batch of one.  Row norms
 are batched BLAS dots, bit for bit ``np.linalg.norm``.  The min-entropy
-kernel takes its parity sets in chunks whose superpositions stay within
-512 KiB.  The sieve check gathers both orders' tables from one square of
-the state through read-only cell maps built once per layout (the delayed
-one by running its CNOTs on indices).  Within a GHZ block, qubit 1 belongs
-to the first party and qubits 2..p+1 to the others.  Qubit 1 is the most
-significant bit of the amplitude index, so in the ``(2,) * k`` axis view
-every kernel works on, qubit q is axis q - 1.
+kernel never builds a superposition: summed over correlation words, each
+GHZ block is its first qubit times a uniform trailing register, so the
+first-qubit marginal is the normalized square of 2**n real amplitudes per
+parity set, and p drops out.  The sieve check gathers both orders' tables
+from one square of the state through read-only cell maps built once per
+layout (the delayed one by running its CNOTs on indices).  Within a GHZ
+block, qubit 1 belongs to the first party and qubits 2..p+1 to the
+others.  Qubit 1 is the most significant bit of the amplitude index, so
+in the ``(2,) * k`` axis view every kernel works on, qubit q is axis q - 1.
 """
 
 from __future__ import annotations
@@ -260,10 +262,6 @@ def hadamard_expansion_check(p: int, x: int, y: int, state: StateVector | None =
     return bool(hadamard_expansion_checks(p, [x], [y], states)[0])
 
 
-# The largest temporary a batched kernel builds for one chunk of inputs.
-_CHUNK_BYTES = 1 << 19
-
-
 # ---------------------------------------------------------------------------
 # Two-bit parity sieve, direct vs delayed measurement order
 # ---------------------------------------------------------------------------
@@ -377,10 +375,10 @@ def _head_vectors(n: int) -> np.ndarray:
 
 
 def _parity_picks(n: int, word_sets: Sequence) -> tuple:
-    """A chunk of parity sets as rows of sorted, distinct word indices padded
-    with ``2**n`` (the zero head vector), and the number of words in each.
+    """Parity sets as rows of sorted, distinct word indices padded with
+    ``2**n`` (the zero head vector), and the number of words in each.
 
-    The chunk is checked as a whole; only a bad chunk is checked set by set,
+    The sets are checked as a whole; only a bad batch is checked set by set,
     to raise the message that names its first bad set and word.  Types are
     checked before numpy sees the words, since it would take a ``bool_`` or
     a 0-d array for a word index.
@@ -409,40 +407,26 @@ def _parity_picks(n: int, word_sets: Sequence) -> tuple:
     return np.where(np.arange(width) < sizes[:, None], ranked, 1 << n), sizes
 
 
-def _key_min_entropies(n: int, p: int, picks: np.ndarray, sizes: np.ndarray) -> list:
-    heads_of = _head_vectors(n)
-    # Each set's heads are summed in sorted word order, from zero.
-    heads = np.zeros((len(picks), 2**n))
-    for column in picks.T:
-        heads += heads_of[column]
-
-    k = n * (p + 1)
-    block_axes = ((2,) + (1,) * p) * n
-    amps = np.broadcast_to(
-        heads.reshape((len(picks),) + block_axes), (len(picks),) + (2,) * k
-    ).astype(np.complex128, order="C")
-    amps /= _row_norms(amps.reshape(len(picks), -1)).reshape((-1,) + (1,) * k)
-    probs = np.abs(amps)
-    probs **= 2
-    kept_axes = {i * (p + 1) for i in range(n)}
-    traced = tuple(1 + ax for ax in range(k) if ax not in kept_axes)
-    peaks = probs.sum(axis=traced).reshape(len(picks), -1).max(axis=1)
-    return [(-math.log2(peak), n - math.log2(size))
-            for peak, size in zip(peaks.tolist(), sizes.tolist())]
-
-
 def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
     """:func:`key_min_entropy_check` for each set of word indices in the
     sequence ``word_sets``, in order."""
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
-    k = n * (p + 1)
-    _check_cap(k)
-    size = max(1, _CHUNK_BYTES // (16 << k))  # sets per chunk: each adds its superposition
-    results = []
-    for start in range(0, len(word_sets), size):
-        results += _key_min_entropies(n, p, *_parity_picks(n, word_sets[start:start + size]))
-    return results
+    _check_cap(n * (p + 1))
+    if not word_sets:
+        return []
+    picks, sizes = _parity_picks(n, word_sets)
+    heads_of = _head_vectors(n)
+    # Each set's heads are summed in sorted word order, from zero.
+    heads = np.zeros((len(picks), 2**n))
+    for column in picks.T:
+        heads += heads_of[column]
+    # The superposition is heads (x) uniform, so the first-qubit marginal
+    # is heads**2 / |heads|**2: the trailing qubits sum out exactly.
+    heads *= heads
+    peaks = heads.max(axis=1) / heads.sum(axis=1)
+    return [(-math.log2(peak), n - math.log2(size))
+            for peak, size in zip(peaks.tolist(), sizes.tolist())]
 
 
 def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
@@ -454,5 +438,9 @@ def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
     measures the first qubit of each block in Z, and returns
     ``(hmin, n - log2(set size))``.  The first component is computed by
     exact marginalization; callers assert it is at least the second.
+
+    The superposition factors into the n first qubits times a uniform
+    register on the trailing ones, so the result does not depend on ``p``,
+    which only sets the ``n * (p + 1)`` qubits the cap is checked against.
     """
     return key_min_entropy_checks(n, p, [parity_words])[0]

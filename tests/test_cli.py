@@ -34,13 +34,15 @@ GOLDEN_SIMULATE_HEADER_P2 = (
 # every bit).  Every check is exact, so both are the same at every seed,
 # with or without --quick.  The key-min-entropy and sampling-exhaustive
 # margins were taken from the single-input functions over the same sets
-# and weights, before the battery changed to them.
+# and weights, before the battery changed to them; the key-min-entropy
+# margin has since dropped from 8.881784e-16 to 3.330669e-16, the rounding
+# of max(h**2) / sum(h**2) on the 2**n first-qubit amplitudes h.
 GOLDEN_SELFTEST_CSV = (
     "PASS ghz-parity-exact margin=6.661338e-16  (max deviation of the announced parity from the phase bit)\n"
     "PASS ghz-orthonormality margin=2.220446e-16  (max deviation of pairwise inner products from identity)\n"
     "PASS hadamard-expansion margin=0.000000e+00  (GHZ states failing the all-Hadamard expansion identity)\n"
     "PASS sieve-equivalence margin=0.000000e+00  (max TV distance over every state: direct and delayed cell maps equal entry for entry at 2/3/4/6 blocks)\n"
-    "PASS key-min-entropy margin=8.881784e-16  (max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4)\n"
+    "PASS key-min-entropy margin=3.330669e-16  (max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4)\n"
     "PASS sampling-exhaustive margin=3.973168e-01  (min (bound - exact failure probability) over every weight at N=16/20/24; 8.888746e-02 at N=200, m=50, delta=0.25)\n"
     "PASS sampling-roundtrip margin=1.714360e-16  (max relative log-space error of the delta inverse)\n"
 )
@@ -74,7 +76,7 @@ GOLDEN_SELFTEST_JSON = """\
   {
     "name": "key-min-entropy",
     "status": "PASS",
-    "margin": 8.881784197001252e-16,
+    "margin": 3.3306690738754696e-16,
     "detail": "max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4"
   },
   {
@@ -545,6 +547,46 @@ class TestSweepN:
 
     def test_past_float_range_end_is_the_flag_value(self, capsys):
         code, out, err = run_cli(capsys, "sweep-n", "--signals-min", "1e3", "--signals-max",
+                                 "1e30", "--points", "2", "--q", "0.05", "--qz", "0.05")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: half_signals 500000000000000000000000000000 too large "
+                       "for the test-size grid\n")
+
+
+class TestSweepNSkipsTooSmallTotals:
+    """A total with no valid test size is skipped, not the whole sweep."""
+
+    def test_optimized_sweep_skips_the_smallest_total(self, capsys):
+        code, out, err = run_cli(capsys, "sweep-n", "--p", "3", "--signals-min", "2",
+                                 "--signals-max", "9007199254740990", "--points", "40",
+                                 "--q", "0.05", "--qz", "0.05")
+        assert (code, err) == (
+            EXIT_OK, "note: skipped 1 of 40 signal totals too small for a valid test size\n")
+        totals = [int(r["signals"]) for r in csv.DictReader(io.StringIO(out))]
+        assert len(totals) == 39 and totals[0] == 6 and totals[-1] == 9007199254740990
+
+    def test_fixed_test_size_skips_totals_with_2m_at_least_n(self, capsys):
+        # N = 20 is 2m, so 40 is skipped; N = 21 is the smallest kept.
+        code, out, err = run_cli(capsys, "sweep-n", "--signals-min", "4", "--signals-max", "42",
+                                 "--points", "3", "--m", "10", "--q", "0.05", "--qz", "0.05",
+                                 "--format", "json")
+        assert (code, err) == (
+            EXIT_ZERO_RATE,
+            "note: skipped 2 of 3 signal totals too small for a valid test size\n")
+        assert [(r["signals"], r["m"]) for r in json.loads(out)] == [(42, 10)]
+
+    @pytest.mark.parametrize("hi, extra, message", [
+        ("4", (), "half_signals too small for any valid test size"),
+        ("40", ("--m", "10"), "test size must satisfy m < N/2"),
+        ("40", ("--m", "0"), "test size must be positive"),
+    ], ids=["optimized", "fixed", "zero"])
+    def test_no_total_left_is_a_usage_error(self, capsys, hi, extra, message):
+        code, out, err = run_cli(capsys, "sweep-n", "--signals-min", "2", "--signals-max", hi,
+                                 "--points", "4", "--q", "0.05", "--qz", "0.05", *extra)
+        assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+    def test_error_past_a_skipped_total_prints_one_line(self, capsys):
+        code, out, err = run_cli(capsys, "sweep-n", "--signals-min", "2", "--signals-max",
                                  "1e30", "--points", "2", "--q", "0.05", "--qz", "0.05")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == ("error: half_signals 500000000000000000000000000000 too large "

@@ -1,5 +1,6 @@
 """Tests for the desk-scale statevector verifier."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -24,12 +25,6 @@ from qcka_cad.ghzsim import (
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _chunk(nbytes):
-    """Inputs per chunk of a batched kernel when each adds ``nbytes`` to its
-    largest temporary."""
-    return max(1, ghzsim._CHUNK_BYTES // nbytes)
 
 
 class TestStateVector:
@@ -373,7 +368,36 @@ class TestKeyMinEntropy:
                 assert max(map(abs, gaps)) <= 1e-15
                 count, worst[n, p] = count + len(gaps), min(gaps)
         assert count == 546
-        assert worst[3, 1] == -4.440892098500626e-16
+        assert worst[3, 1] == -3.3306690738754696e-16
+
+    def test_matches_the_built_superposition(self):
+        # Build each restricted superposition in full, from GHZ states summed
+        # over their correlation words, and sum out every trailing qubit.
+        count, gap = 0, 0.0
+        configs = [(n, p, verify._every_set(n)) for n in (1, 2, 3) for p in (1, 2, 3)]
+        configs.append((4, 1, verify._four_bit_family()))
+        for n, p, sets in configs:
+            k = n * (p + 1)
+            block = [ghzsim.ghz_states(p, range(1 << p), [y] * (1 << p)).sum(axis=0)
+                     for y in (0, 1)]
+            products = [functools.reduce(np.kron, [block[b] for b in bits])
+                        for bits in itertools.product((0, 1), repeat=n)]
+            kept = {i * (p + 1) for i in range(n)}
+            traced = tuple(axis for axis in range(k) if axis not in kept)
+            for words, (hmin, _) in zip(sets, key_min_entropy_checks(n, p, sets)):
+                psi = sum(products[y] for y in words)
+                psi /= np.linalg.norm(psi)
+                marginal = (np.abs(psi) ** 2).reshape((2,) * k).sum(axis=traced)
+                gap = max(gap, abs(hmin + math.log2(marginal.max())))
+                count += 1
+        assert count == 3 * (3 + 15 + 255) + 113
+        assert gap <= 1e-14
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_does_not_depend_on_p(self, p):
+        for n, sets in [(n, verify._every_set(n)) for n in (1, 2, 3)] + [
+                (4, verify._four_bit_family())]:
+            assert key_min_entropy_checks(n, 1, sets) == key_min_entropy_checks(n, p, sets)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -387,11 +411,12 @@ class TestKeyMinEntropy:
 
 
 class TestBatchedKernels:
-    """Batches, one chunk and one past a chunk, equal the batch of one bit for bit."""
+    """Batches of one, of ``chunk`` and of ``chunk + 1`` inputs equal the batch
+    of one bit for bit."""
 
     @pytest.mark.parametrize("n, p", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 1)])
     def test_min_entropy_batches_match_batch_of_one(self, n, p):
-        chunk = _chunk(16 << (n * (p + 1)))  # the superposition
+        chunk = 1 << (15 - n * (p + 1))  # 64 .. 2048 sets
         rng = np.random.default_rng(10 * n + p)
         everything = list(range(2**n))
         sets = [everything, everything[:1] * 3, everything[::-1] + everything[:2]]
@@ -412,11 +437,11 @@ class TestBatchedKernels:
                 table[0] = 0
 
     def test_min_entropy_kernel_stays_within_the_byte_budget(self):
-        # All 255 non-empty sets at (3, 2): 255 superpositions of 2**9
-        # amplitudes are 2 MB unchunked (a 3.2 MB peak), 0.5 MB a chunk.
+        # All 255 non-empty sets at (3, 2): the kernel keeps 2**3 first-qubit
+        # amplitudes per set (about 0.1 MB peak), where 255 superpositions
+        # of 2**9 amplitudes would take 2 MB.
         sets = [list(itertools.compress(range(8), keep))
                 for keep in itertools.product((0, 1), repeat=8) if any(keep)]
-        assert _chunk(16 << 9) == 64
         ghzsim._head_vectors(3)
         tracemalloc.start()
         try:
@@ -425,14 +450,14 @@ class TestBatchedKernels:
         finally:
             tracemalloc.stop()
         assert len(results) == 255
-        assert peak < 1_500_000
+        assert peak < 256_000
 
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
                                       (4, 1), (3, 2)])
     def test_row_norms_of_superpositions_match_norm(self, n, p):
-        # The min-entropy kernel's broadcast superpositions, 2**2 .. 2**9 amplitudes.
+        # Restricted GHZ superpositions, 2**2 .. 2**9 amplitudes with many ties.
         k = n * (p + 1)
-        chunk = _chunk(16 << k)
+        chunk = 1 << (15 - k)
         rng = np.random.default_rng(k)
         heads = ghzsim._head_vectors(n)[rng.integers(0, 2**n, size=(chunk + 1, 3))].sum(axis=1)
         block_axes = ((2,) + (1,) * p) * n
@@ -444,7 +469,7 @@ class TestBatchedKernels:
 
     @pytest.mark.parametrize("qubits", [4, 6, 8])
     def test_row_norms_of_draws_match_norm(self, qubits):
-        chunk = _chunk(48 << qubits)
+        chunk = {4: 682, 6: 170, 8: 42}[qubits]
         draws = np.random.default_rng(qubits).standard_normal((chunk + 1, 2, 1 << qubits))
         rows = draws[:, 0] + 1j * draws[:, 1]
         for count in (1, chunk, chunk + 1):
@@ -708,7 +733,7 @@ class TestBatteryMatchesSingleInputs:
             singles = [key_min_entropy_check(n, p, words) for words in word_sets]
             assert results == singles
             worst = max(worst, *(abs(hmin - bound) for hmin, bound in singles))
-        assert result.margin == worst == 8.881784197001252e-16
+        assert result.margin == worst == 3.3306690738754696e-16
 
     def test_key_min_entropy_is_two_sided(self, monkeypatch):
         # Weighting word 0 twice makes P(x) flatter on every set that holds
@@ -732,7 +757,7 @@ class TestBatteryMatchesSingleInputs:
 
 class TestParitySetDecoder:
     """The min-entropy kernel's decoding of parity sets into word indices
-    checks every set, in whichever chunk it falls."""
+    checks every set, wherever it falls in the batch."""
 
     @pytest.mark.parametrize("bad, first", [
         ([0, 4], 4), ([-1], -1), ([], None), (["0"], "0"), ([0.0], 0.0),
@@ -743,8 +768,7 @@ class TestParitySetDecoder:
         n, p = 2, 2
         message = ("empty parity-word set" if first is None
                    else f"word index {first!r} is not an integer in [0, 2**{n})")
-        chunk = _chunk(16 << (n * (p + 1)))
-        sets = [[0, 3]] * (chunk + 1) + [bad, [1]]
+        sets = [[0, 3]] * 513 + [bad, [1]]
         for call in (lambda: key_min_entropy_check(n, p, bad),
                      lambda: key_min_entropy_checks(n, p, sets)):
             with pytest.raises(ValueError) as raised:
