@@ -23,7 +23,7 @@ from qcka_cad.ghzsim import (
     ghz_state,
     ghz_states,
     hadamard_expansion_checks,
-    key_min_entropy_checks,
+    key_min_entropy_check,
     random_pure_state,
     x_basis_parity_distributions,
 )
@@ -70,7 +70,7 @@ def main():
         (3, 1, ["000", "011", "101"]),
         (2, 2, ["01", "10"]),
     ):
-        ((hmin, bound),) = key_min_entropy_checks(n, p, [[int(w, 2) for w in words]])
+        hmin, bound = key_min_entropy_check(n, p, [int(w, 2) for w in words])
         print(f"   n={n} p={p} |J|={len(set(words))}: "
               f"hmin = {hmin:.4f} >= bound = {bound:.4f}")
 

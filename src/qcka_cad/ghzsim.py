@@ -20,10 +20,11 @@ Everything is computed by exact marginalization of squared amplitudes,
 never by sampling, so the checks are deterministic.  The kernels take a
 batch in one format: states as the rows of a 2-D amplitude array, GHZ
 labels as integer word indices (first bit most significant) and phase
-bits, parity sets as a sequence of sets of word indices.  ``_stacked`` is
-the one check that amplitudes form states: a power-of-two row size within
-the cap of ``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per row), checked
-before anything is converted, and squared norms within 1e-10 of 1.  A
+bits, parity sets as the rows of a 2-D ``bool`` membership array, one
+column per word index.  ``_stacked`` is the one check that amplitudes
+form states: a power-of-two row size within the cap of
+``DEFAULT_QUBIT_CAP`` = 20 qubits (16 MiB per row), checked before
+anything is converted, and squared norms within 1e-10 of 1.  A
 StateVector is a checked, read-only copy of one row, and a single-input
 kernel gives the bits of its batch kernel on a batch of one.  Row norms
 are batched BLAS dots, bit for bit ``np.linalg.norm``.  The min-entropy
@@ -43,7 +44,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -361,11 +362,11 @@ def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector)
 @functools.lru_cache(maxsize=None)
 def _head_vectors(n: int) -> np.ndarray:
     """Row y: the first qubits of n GHZ blocks with phase word y, summed
-    over correlation words; the last row is zero, to pad a parity set."""
+    over correlation words."""
     # Summed over its correlation word, a GHZ block is
     # (|0> + (-1)^y |1>) (x) sum_x |x> / sqrt(2): the phase bit lives on the
     # first qubit alone and the trailing qubits are uniform.
-    heads = np.zeros((2**n + 1, 2**n))
+    heads = np.empty((2**n, 2**n))
     for y, bits in enumerate(itertools.product((0, 1), repeat=n)):
         heads[y] = functools.reduce(
             np.kron, [np.array([1.0, (-1.0) ** b]) / math.sqrt(2.0) for b in bits]
@@ -374,59 +375,40 @@ def _head_vectors(n: int) -> np.ndarray:
     return heads
 
 
-def _parity_picks(n: int, word_sets: Sequence) -> tuple:
-    """Parity sets as rows of sorted, distinct word indices padded with
-    ``2**n`` (the zero head vector), and the number of words in each.
-
-    The sets are checked as a whole; only a bad batch is checked set by set,
-    to raise the message that names its first bad set and word.  Types are
-    checked before numpy sees the words, since it would take a ``bool_`` or
-    a 0-d array for a word index.
-    """
-    sets = [list(s) for s in word_sets]
-    lengths = [len(s) for s in sets]
-    flat = list(itertools.chain.from_iterable(sets))
-    words = None
-    if all(issubclass(t, (int, np.integer)) for t in set(map(type, flat))):
-        try:
-            words = np.array(flat, dtype=np.int64)
-        except OverflowError:
-            pass
-    if words is None or 0 in lengths or np.any((words < 0) | (words >= 1 << n)):
-        for checked in sets:
-            for w in checked:
-                if not isinstance(w, (int, np.integer)) or not 0 <= w < 1 << n:
-                    raise ValueError(f"word index {w!r} is not an integer in [0, 2**{n})")
-            if not checked:
-                raise ValueError("empty parity-word set")
-    member = np.zeros((len(sets), 1 << n), dtype=bool)
-    member[np.repeat(np.arange(len(sets)), lengths), words] = True
-    sizes = member.sum(axis=1)
-    width = sizes.max()
-    ranked = np.argsort(~member, axis=1, kind="stable")[:, :width]
-    return np.where(np.arange(width) < sizes[:, None], ranked, 1 << n), sizes
-
-
-def key_min_entropy_checks(n: int, p: int, word_sets: Sequence) -> list:
-    """:func:`key_min_entropy_check` for each set of word indices in the
-    sequence ``word_sets``, in order."""
+def _check_sizes(n: int, p: int) -> None:
     if n < 1 or p < 1:
         raise ValueError("need n >= 1 and p >= 1")
     _check_cap(n * (p + 1))
-    if not word_sets:
-        return []
-    picks, sizes = _parity_picks(n, word_sets)
+
+
+def key_min_entropy_checks(n: int, p: int, member) -> tuple:
+    """:func:`key_min_entropy_check` for each parity set, as two float arrays
+    ``(hmin, bound)``.
+
+    ``member`` is a 2-D ``bool`` array with one row per set and one column
+    per n-bit word: entry ``[s, w]`` is True iff word index w is in set s.
+    """
+    _check_sizes(n, p)
+    member = np.asarray(member)
+    if member.ndim != 2:
+        raise ValueError(f"parity sets must be a 2-D membership array, got {member.ndim}-D")
+    if member.dtype != bool:
+        raise ValueError(f"parity-set membership must be bool, got {member.dtype}")
+    if member.shape[1] != 1 << n:
+        raise ValueError(f"membership rows need 2**{n} columns, got {member.shape[1]}")
+    sizes = member.sum(axis=1)
+    if not sizes.all():
+        raise ValueError("empty parity-word set")
     heads_of = _head_vectors(n)
-    # Each set's heads are summed in sorted word order, from zero.
-    heads = np.zeros((len(picks), 2**n))
-    for column in picks.T:
-        heads += heads_of[column]
+    # Each set's heads are summed in ascending word order, from zero; a
+    # word outside the set adds nothing, exactly as adding +0.0 would.
+    heads = np.zeros((len(member), 2**n))
+    for word in np.flatnonzero(member.any(axis=0)):
+        np.add(heads, heads_of[word], out=heads, where=member[:, word, None])
     # The superposition is heads (x) uniform, so the first-qubit marginal
     # is heads**2 / |heads|**2: the trailing qubits sum out exactly.
     heads *= heads
-    peaks = heads.max(axis=1) / heads.sum(axis=1)
-    return [(-math.log2(peak), n - math.log2(size))
-            for peak, size in zip(peaks.tolist(), sizes.tolist())]
+    return -np.log2(heads.max(axis=1) / heads.sum(axis=1)), n - np.log2(sizes)
 
 
 def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
@@ -442,5 +424,14 @@ def key_min_entropy_check(n: int, p: int, parity_words: Iterable) -> tuple:
     The superposition factors into the n first qubits times a uniform
     register on the trailing ones, so the result does not depend on ``p``,
     which only sets the ``n * (p + 1)`` qubits the cap is checked against.
+    A word is checked by type before it indexes anything, since numpy
+    would take a ``bool_`` or a 0-d array for an index.
     """
-    return key_min_entropy_checks(n, p, [parity_words])[0]
+    _check_sizes(n, p)
+    member = np.zeros((1, 1 << n), dtype=bool)
+    for w in parity_words:
+        if not isinstance(w, (int, np.integer)) or not 0 <= w < 1 << n:
+            raise ValueError(f"word index {w!r} is not an integer in [0, 2**{n})")
+        member[0, int(w)] = True  # a bool index would select the whole row
+    hmin, bound = key_min_entropy_checks(n, p, member)
+    return float(hmin[0]), float(bound[0])

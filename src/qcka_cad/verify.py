@@ -7,7 +7,7 @@ check compares the two orders' cell maps entry for entry, the
 min-entropy check runs every non-empty parity set at n <= 3 and a fixed
 family at n = 4, and the sampling check takes every weight of a word.
 Every check hands a batched ``ghzsim`` kernel stacked inputs built in
-bulk: parity sets as sorted word indices, and for each p the whole
+bulk: parity sets as boolean membership rows, and for each p the whole
 family of 2^(p+1) GHZ basis states as one array.
 A check that raises surfaces as :class:`CheckError`, never as a pass, and
 a NaN among the values a check folds makes it FAIL with a NaN margin.
@@ -16,7 +16,6 @@ a NaN among the values a check folds makes it FAIL with a NaN margin.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import namedtuple
 
@@ -124,23 +123,26 @@ def check_sieve_equivalence():
             "equal entry for entry at 2/3/4/6 blocks")
 
 
-def _every_set(n: int) -> list:
-    """Every non-empty set of n-bit words, as sorted word indices."""
-    return [list(itertools.compress(range(1 << n), keep))
-            for keep in itertools.product((0, 1), repeat=1 << n) if any(keep)]
+def _every_set(n: int) -> np.ndarray:
+    """Every non-empty set of n-bit words, as membership rows: row s - 1
+    holds the bits of s, word 0 the most significant."""
+    masks = np.arange(1, 1 << (1 << n))
+    return (masks[:, None] >> np.arange((1 << n) - 1, -1, -1) & 1).astype(bool)
 
 
 @functools.lru_cache(maxsize=None)
-def _four_bit_family() -> tuple:
-    """113 sets of 4-bit words: the 48 Hamming balls B(c, k <= 2), the 30
-    affine hyperplanes {w : a.w = b} and the 35 two-dimensional linear
-    subspaces."""
-    balls = [[w for w in range(16) if (c ^ w).bit_count() <= k]
-             for c in range(16) for k in (0, 1, 2)]
-    hyperplanes = [[w for w in range(16) if (a & w).bit_count() % 2 == b]
+def _four_bit_family() -> np.ndarray:
+    """113 sets of 4-bit words, as read-only membership rows: the 48 Hamming
+    balls B(c, k <= 2), the 30 affine hyperplanes {w : a.w = b} and the 35
+    two-dimensional linear subspaces."""
+    words = range(16)
+    balls = [[(c ^ w).bit_count() <= k for w in words] for c in words for k in (0, 1, 2)]
+    hyperplanes = [[(a & w).bit_count() % 2 == b for w in words]
                    for a in range(1, 16) for b in (0, 1)]
     subspaces = sorted({tuple(sorted({0, a, b, a ^ b})) for a in range(1, 16) for b in range(1, a)})
-    return tuple(balls + hyperplanes + [list(s) for s in subspaces])
+    family = np.array(balls + hyperplanes + [[w in s for w in words] for s in subspaces])
+    family.setflags(write=False)
+    return family
 
 
 @_check("key-min-entropy")
@@ -152,9 +154,9 @@ def check_key_min_entropy():
     configs = [(n, p, _every_set(n)) for p in (1, 2) for n in (1, 2, 3)]
     configs.append((4, 1, _four_bit_family()))
     worst = 0.0
-    for n, p, word_sets in configs:
-        results = ghzsim.key_min_entropy_checks(n, p, word_sets)
-        worst = _fold(np.argmax, worst, [abs(hmin - bound) for hmin, bound in results])
+    for n, p, member in configs:
+        hmin, bound = ghzsim.key_min_entropy_checks(n, p, member)
+        worst = _fold(np.argmax, worst, np.abs(hmin - bound))
     return (worst <= 1e-9, worst,
             "max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4")
 

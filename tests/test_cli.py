@@ -754,7 +754,8 @@ class TestSelftest:
         ("_delayed_cells", lambda blocks: np.full((1 << blocks,) * 2, math.nan),
          "sieve-equivalence", "1.000000e+00"),
         ("key_min_entropy_checks",
-         lambda n, p, word_sets: [(math.nan, 0.0) for _ in word_sets], "key-min-entropy", "nan"),
+         lambda n, p, member: (np.full(len(member), math.nan), np.zeros(len(member))),
+         "key-min-entropy", "nan"),
     ], ids=["sieve-equivalence", "key-min-entropy"])
     def test_nan_kernel_fails_the_battery(self, capsys, monkeypatch, target, nan_kernel, check,
                                           margin):

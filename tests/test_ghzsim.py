@@ -364,9 +364,10 @@ class TestKeyMinEntropy:
             sets = [list(itertools.compress(range(2**n), keep))
                     for keep in itertools.product((0, 1), repeat=2**n) if any(keep)]
             for p in (1, 2):
-                gaps = [hmin - bound for hmin, bound in key_min_entropy_checks(n, p, sets)]
-                assert max(map(abs, gaps)) <= 1e-15
-                count, worst[n, p] = count + len(gaps), min(gaps)
+                hmin, bound = key_min_entropy_checks(n, p, _rows(n, sets))
+                gaps = hmin - bound
+                assert np.abs(gaps).max() <= 1e-15
+                count, worst[n, p] = count + len(gaps), gaps.min()
         assert count == 546
         assert worst[3, 1] == -3.3306690738754696e-16
 
@@ -376,7 +377,7 @@ class TestKeyMinEntropy:
         count, gap = 0, 0.0
         configs = [(n, p, verify._every_set(n)) for n in (1, 2, 3) for p in (1, 2, 3)]
         configs.append((4, 1, verify._four_bit_family()))
-        for n, p, sets in configs:
+        for n, p, member in configs:
             k = n * (p + 1)
             block = [ghzsim.ghz_states(p, range(1 << p), [y] * (1 << p)).sum(axis=0)
                      for y in (0, 1)]
@@ -384,8 +385,8 @@ class TestKeyMinEntropy:
                         for bits in itertools.product((0, 1), repeat=n)]
             kept = {i * (p + 1) for i in range(n)}
             traced = tuple(axis for axis in range(k) if axis not in kept)
-            for words, (hmin, _) in zip(sets, key_min_entropy_checks(n, p, sets)):
-                psi = sum(products[y] for y in words)
+            for row, hmin in zip(member, key_min_entropy_checks(n, p, member)[0]):
+                psi = sum(products[y] for y in np.flatnonzero(row))
                 psi /= np.linalg.norm(psi)
                 marginal = (np.abs(psi) ** 2).reshape((2,) * k).sum(axis=traced)
                 gap = max(gap, abs(hmin + math.log2(marginal.max())))
@@ -395,9 +396,11 @@ class TestKeyMinEntropy:
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_does_not_depend_on_p(self, p):
-        for n, sets in [(n, verify._every_set(n)) for n in (1, 2, 3)] + [
+        for n, member in [(n, verify._every_set(n)) for n in (1, 2, 3)] + [
                 (4, verify._four_bit_family())]:
-            assert key_min_entropy_checks(n, 1, sets) == key_min_entropy_checks(n, p, sets)
+            for one, other in zip(key_min_entropy_checks(n, 1, member),
+                                  key_min_entropy_checks(n, p, member)):
+                assert np.array_equal(one, other)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -425,14 +428,16 @@ class TestBatchedKernels:
             sets.append(picks.tolist())
         single = [key_min_entropy_check(n, p, words) for words in sets]
         for count in (1, chunk, chunk + 1):
-            assert key_min_entropy_checks(n, p, sets[:count]) == single[:count]
+            hmin, bound = key_min_entropy_checks(n, p, _rows(n, sets[:count]))
+            assert list(zip(hmin.tolist(), bound.tolist())) == single[:count]
 
     def test_empty_batches(self):
-        assert key_min_entropy_checks(2, 1, []) == []
+        hmin, bound = key_min_entropy_checks(2, 1, np.zeros((0, 4), dtype=bool))
+        assert hmin.shape == bound.shape == (0,)
 
     def test_cached_tables_are_read_only(self):
         for table in (ghzsim._direct_cells(4), ghzsim._delayed_cells(4),
-                      ghzsim._head_vectors(3)):
+                      ghzsim._head_vectors(3), verify._four_bit_family()):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -440,16 +445,16 @@ class TestBatchedKernels:
         # All 255 non-empty sets at (3, 2): the kernel keeps 2**3 first-qubit
         # amplitudes per set (about 0.1 MB peak), where 255 superpositions
         # of 2**9 amplitudes would take 2 MB.
-        sets = [list(itertools.compress(range(8), keep))
-                for keep in itertools.product((0, 1), repeat=8) if any(keep)]
+        member = _rows(3, [list(itertools.compress(range(8), keep))
+                           for keep in itertools.product((0, 1), repeat=8) if any(keep)])
         ghzsim._head_vectors(3)
         tracemalloc.start()
         try:
-            results = key_min_entropy_checks(3, 2, sets)
+            hmin, _ = key_min_entropy_checks(3, 2, member)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results) == 255
+        assert len(hmin) == 255
         assert peak < 256_000
 
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
@@ -522,6 +527,14 @@ def _reference_expansion(p, x, y):
 def _labels(p):
     """Every (word index, phase bit) label of a (p+1)-qubit GHZ block."""
     return [(x, y) for x in range(1 << p) for y in (0, 1)]
+
+
+def _rows(n, sets):
+    """Membership rows of sets of n-bit word indices, repeats allowed."""
+    member = np.zeros((len(sets), 1 << n), dtype=bool)
+    for row, words in zip(member, sets):
+        row[list(words)] = True
+    return member
 
 
 class TestBulkInputs:
@@ -707,14 +720,16 @@ class TestBatteryMatchesSingleInputs:
             assert cad_delayed_measurement_equivalence(p, rounds, StateVector(state)) == 1.0
 
     def test_key_min_entropy(self, monkeypatch):
-        seen = _spy(monkeypatch, "key_min_entropy_checks", consume=list)
+        seen = _spy(monkeypatch, "key_min_entropy_checks")
         result = verify.check_key_min_entropy()
         calls = list(seen)  # the single-input checks below call the spy too
         configs = [(n, p) for p in (1, 2) for n in (1, 2, 3)] + [(4, 1)]
         assert [args[:2] for args, _ in calls] == configs
+        assert all(args[2].dtype == bool for args, _ in calls)
         for (n, _), (args, _) in zip(configs[:-1], calls):
-            assert args[2] == [list(itertools.compress(range(2**n), keep))
-                               for keep in itertools.product((0, 1), repeat=2**n) if any(keep)]
+            assert np.array_equal(args[2], _rows(n, [
+                list(itertools.compress(range(2**n), keep))
+                for keep in itertools.product((0, 1), repeat=2**n) if any(keep)]))
         # At n = 4: the Hamming balls of radius <= 2 about every center, every
         # affine hyperplane and every 2-dimensional subspace, found by search.
         family = calls[-1][0][2]
@@ -725,14 +740,15 @@ class TestBatteryMatchesSingleInputs:
         planes = {frozenset(s) for s in itertools.combinations(range(16), 4)
                   if 0 in s and all(x ^ y in s for x in s for y in s)}
         assert (len(balls), len(halves), len(planes)) == (48, 30, 35)
-        assert all(words == sorted(words) for words in family)
-        assert len(family) == 113 and set(map(frozenset, family)) == balls | halves | planes
+        assert not family.flags.writeable
+        assert (len(family) == 113 and {frozenset(np.flatnonzero(row).tolist()) for row in family}
+                == balls | halves | planes)
         assert sum(len(args[2]) for args, _ in calls) == 546 + 113
         worst = 0.0
-        for (n, p, word_sets), results in calls:
-            singles = [key_min_entropy_check(n, p, words) for words in word_sets]
-            assert results == singles
-            worst = max(worst, *(abs(hmin - bound) for hmin, bound in singles))
+        for (n, p, member), (hmin, bound) in calls:
+            singles = [key_min_entropy_check(n, p, np.flatnonzero(row)) for row in member]
+            assert list(zip(hmin.tolist(), bound.tolist())) == singles
+            worst = max(worst, *(abs(h - b) for h, b in singles))
         assert result.margin == worst == 3.3306690738754696e-16
 
     def test_key_min_entropy_is_two_sided(self, monkeypatch):
@@ -746,18 +762,19 @@ class TestBatteryMatchesSingleInputs:
             return heads
 
         monkeypatch.setattr(ghzsim, "_head_vectors", scaled)
-        seen = _spy(monkeypatch, "key_min_entropy_checks", consume=list)
+        seen = _spy(monkeypatch, "key_min_entropy_checks")
         result = verify.check_key_min_entropy()
-        gaps = [hmin - bound for _, results in seen for hmin, bound in results]
+        gaps = np.concatenate([hmin - bound for _, (hmin, bound) in seen])
         assert len(gaps) == 546 + 113
-        assert min(gaps) >= -1e-9  # the one-sided check would pass
-        assert (result.status, result.margin) == ("FAIL", max(gaps))
+        assert gaps.min() >= -1e-9  # the one-sided check would pass
+        assert (result.status, result.margin) == ("FAIL", gaps.max())
         assert result.margin > 0.1
 
 
 class TestParitySetDecoder:
-    """The min-entropy kernel's decoding of parity sets into word indices
-    checks every set, wherever it falls in the batch."""
+    """The single-input min-entropy check decodes a set of word indices and
+    names its first bad word, wherever it falls in the set; the batch
+    kernel takes boolean membership rows and checks their form."""
 
     @pytest.mark.parametrize("bad, first", [
         ([0, 4], 4), ([-1], -1), ([], None), (["0"], "0"), ([0.0], 0.0),
@@ -768,26 +785,49 @@ class TestParitySetDecoder:
         n, p = 2, 2
         message = ("empty parity-word set" if first is None
                    else f"word index {first!r} is not an integer in [0, 2**{n})")
-        sets = [[0, 3]] * 513 + [bad, [1]]
-        for call in (lambda: key_min_entropy_check(n, p, bad),
-                     lambda: key_min_entropy_checks(n, p, sets)):
+        calls = [lambda: key_min_entropy_check(n, p, bad)]
+        if bad:  # its first bad word after a long run of good ones
+            calls.append(lambda: key_min_entropy_check(n, p, [0, 3] * 513 + bad))
+        for call in calls:
             with pytest.raises(ValueError) as raised:
                 call()
             assert str(raised.value) == message
 
     def test_integer_types_mix(self):
         words = [np.uint64(1), np.int64(2), True, np.uint8(1)]
-        assert key_min_entropy_checks(2, 1, [words, [3]]) == [
+        assert key_min_entropy_check(2, 1, words) == key_min_entropy_check(2, 1, [1, 2])
+
+    def test_membership_rows(self):
+        member = np.array([[False, True, True, False], [False, False, False, True]])
+        hmin, bound = key_min_entropy_checks(2, 1, member)
+        assert hmin.dtype == bound.dtype == np.float64
+        assert list(zip(hmin.tolist(), bound.tolist())) == [
             key_min_entropy_check(2, 1, [1, 2]), key_min_entropy_check(2, 1, [3])]
+        for array, nested in zip((hmin, bound), key_min_entropy_checks(2, 1, member.tolist())):
+            assert np.array_equal(array, nested)
+
+    # Word indices, 0/1 integers and rows of the wrong form are no membership
+    # rows; numpy would take the first two as integer indices or as truth values.
+    @pytest.mark.parametrize("member, message", [
+        (np.array([[0, 1], [2, 3]], dtype=np.int64), "parity-set membership must be bool, got int64"),
+        (np.array([[0, 1, 1, 0]], dtype=np.int64), "parity-set membership must be bool, got int64"),
+        (np.ones(4, dtype=bool), "parity sets must be a 2-D membership array, got 1-D"),
+        ([], "parity sets must be a 2-D membership array, got 1-D"),
+        (np.ones((2, 8), dtype=bool), "membership rows need 2**2 columns, got 8"),
+        (np.array([[True, False, True, False], [False] * 4]), "empty parity-word set"),
+    ], ids=["word-indices", "integer-bits", "1-D", "empty-list", "width", "empty-row"])
+    def test_bad_membership(self, member, message):
+        with pytest.raises(ValueError) as raised:
+            key_min_entropy_checks(2, 1, member)
+        assert str(raised.value) == message
 
 
-def _spy(monkeypatch, name, consume=None):
+def _spy(monkeypatch, name):
     """Record the arguments and result of each call to a ghzsim kernel."""
     seen = []
     original = getattr(ghzsim, name)
 
     def spy(first, second, inputs):
-        inputs = consume(inputs) if consume else inputs
         result = original(first, second, inputs)
         seen.append(((first, second, inputs), result))
         return result
