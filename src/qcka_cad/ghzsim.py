@@ -27,11 +27,13 @@ form states: a power-of-two row size within the cap of
 anything is converted, and squared norms within 1e-10 of 1.  A
 StateVector is a checked, read-only copy of one row, and a single-input
 kernel gives the bits of its batch kernel on a batch of one.  Row norms
-are batched BLAS dots, bit for bit ``np.linalg.norm``.  The min-entropy
-kernel never builds a superposition: summed over correlation words, each
-GHZ block is its first qubit times a uniform trailing register, so the
-first-qubit marginal is the normalized square of 2**n real amplitudes per
-parity set, and p drops out.  The sieve check gathers both orders' tables
+are batched BLAS dots, bit for bit ``np.linalg.norm``; the all-qubit
+Hadamard is a radix-2 butterfly between two buffers, scaled once.  The
+min-entropy kernel never builds a superposition: summed over correlation
+words, each GHZ block is its first qubit times a uniform trailing
+register, so the first-qubit marginal is the normalized square of 2**n
+real amplitudes per parity set (one ``einsum`` adds them in ascending
+word order), and p drops out.  The sieve check gathers both orders' tables
 from one square of the state through read-only cell maps built once per
 layout (the delayed one by running its CNOTs on indices).  Within a GHZ
 block, qubit 1 belongs to the first party and qubits 2..p+1 to the
@@ -70,6 +72,11 @@ DEFAULT_QUBIT_CAP = 20
 _NORM_ATOL = 1e-10
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def _check_cap(k: int, what: str | None = None) -> None:
     if k > DEFAULT_QUBIT_CAP:
         raise ValueError(f"{what or f'{k} qubits'} exceeds the qubit cap of {DEFAULT_QUBIT_CAP}")
@@ -87,10 +94,8 @@ class StateVector:
 
     def __init__(self, amplitudes):
         # A copy, so the caller's array is neither shared nor frozen.
-        amps = _stacked(np.reshape(amplitudes, (1, -1)))[0].copy()
-        amps.setflags(write=False)
-        self._amps = amps
-        self._k = amps.size.bit_length() - 1
+        self._amps = _read_only(_stacked(np.reshape(amplitudes, (1, -1)))[0].copy())
+        self._k = self._amps.size.bit_length() - 1
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -196,12 +201,17 @@ def _hadamard(amps: np.ndarray) -> np.ndarray:
     """Each row of ``amps`` with a Hadamard applied to every qubit."""
     count, size = amps.shape
     k = size.bit_length() - 1
-    a = amps.reshape((count,) + (2,) * k)
-    for axis in range(1, k + 1):
-        plus = a.take(0, axis=axis) + a.take(1, axis=axis)
-        minus = a.take(0, axis=axis) - a.take(1, axis=axis)
-        a = np.stack((plus, minus), axis=axis)
-    return a.reshape(count, size) / math.sqrt(2.0) ** k
+    # Qubit 1 first, between two buffers and scaled once at the end: the
+    # same sums in the same order as stacking (a0 + a1, a0 - a1) per axis.
+    bufs, src = [np.empty((count, size), dtype=np.complex128) for _ in range(2)], amps
+    for axis in range(k):
+        shape = (count, 1 << axis, 2, size >> (axis + 1))
+        a, out = src.reshape(shape), bufs[axis & 1].reshape(shape)
+        np.add(a[:, :, 0], a[:, :, 1], out=out[:, :, 0])
+        np.subtract(a[:, :, 0], a[:, :, 1], out=out[:, :, 1])
+        src = bufs[axis & 1]
+    src /= math.sqrt(2.0) ** k
+    return src
 
 
 def hadamard_transform(state: StateVector) -> StateVector:
@@ -214,10 +224,11 @@ def x_basis_parity_distributions(states) -> np.ndarray:
     probs = np.abs(_hadamard(_stacked(states))) ** 2
     # Fold one qubit at a time: even/odd hold the mass whose folded qubits
     # have even/odd parity, indexed by the qubits not yet folded.
-    even, odd = np.split(probs, 2, axis=1)
-    while even.shape[1] > 1:
-        (e0, e1), (o0, o1) = np.split(even, 2, axis=1), np.split(odd, 2, axis=1)
-        even, odd = e0 + o1, o0 + e1
+    half = probs.shape[1] // 2
+    even, odd = probs[:, :half], probs[:, half:]
+    while half > 1:
+        half //= 2
+        even, odd = even[:, :half] + odd[:, half:], odd[:, :half] + even[:, half:]
     return np.concatenate((even, odd), axis=1)
 
 
@@ -228,6 +239,12 @@ def x_basis_parity_distribution(state: StateVector) -> dict:
     """
     even, odd = x_basis_parity_distributions(state.amplitudes[None])[0]
     return {0: float(even), 1: float(odd)}
+
+
+@functools.lru_cache(maxsize=None)
+def _parities(p: int) -> np.ndarray:
+    """The parity of each p-bit word index, as a read-only row."""
+    return _read_only(np.array([bin(w).count("1") & 1 for w in range(1 << p)]))
 
 
 def hadamard_expansion_checks(p: int, words, ys, states=None) -> np.ndarray:
@@ -241,12 +258,12 @@ def hadamard_expansion_checks(p: int, words, ys, states=None) -> np.ndarray:
     amps = ghz_states(p, words, ys) if states is None else _stacked(states)
     if amps.shape != (words.size, 2 << p):
         raise ValueError("state size does not match p")
-    c = np.arange(1 << p)
-    parity = np.array([bin(w).count("1") & 1 for w in range(1 << p)])
+    c, parity = np.arange(1 << p), _parities(p)
     signs = np.where(parity[words[:, None] & c], -1.0, 1.0) * 2.0 ** (-p / 2.0)
     expected = np.zeros_like(amps)
     expected[np.arange(words.size)[:, None], ((ys[:, None] ^ parity) << p) | c] = signs
-    return np.isclose(_hadamard(amps), expected, atol=1e-10, rtol=0.0).all(axis=1)
+    # np.isclose(atol=1e-10, rtol=0) on the finite rows _stacked admits.
+    return (np.abs(_hadamard(amps) - expected) <= 1e-10).all(axis=1)
 
 
 def hadamard_expansion_check(p: int, x: int, y: int, state: StateVector | None = None) -> bool:
@@ -311,9 +328,7 @@ def _cell_map(sources: np.ndarray) -> np.ndarray:
     live = sources != len(sources) ** 2
     if not (live.sum(axis=1) == 1).all():
         raise ValueError("a delayed-table cell does not have exactly one source")
-    cells = np.where(live, sources, 0).sum(axis=1, dtype=np.intp)
-    cells.setflags(write=False)
-    return cells
+    return _read_only(np.where(live, sources, 0).sum(axis=1, dtype=np.intp))
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,9 +342,7 @@ def _direct_cells(blocks: int) -> np.ndarray:
     """The system amplitude in each cell of the direct table, where each
     parity is XOR-ed after measurement: ``P[l, l ^ r] = |psi[l, r]|^2``."""
     left = np.arange(1 << blocks)[:, None]
-    cells = (left << blocks) | (left ^ np.arange(1 << blocks))
-    cells.setflags(write=False)
-    return cells
+    return _read_only((left << blocks) | (left ^ np.arange(1 << blocks)))
 
 
 def cad_delayed_measurement_equivalence(p: int, rounds: int, state: StateVector) -> float:
@@ -371,8 +384,7 @@ def _head_vectors(n: int) -> np.ndarray:
         heads[y] = functools.reduce(
             np.kron, [np.array([1.0, (-1.0) ** b]) / math.sqrt(2.0) for b in bits]
         )
-    heads.setflags(write=False)
-    return heads
+    return _read_only(heads)
 
 
 def _check_sizes(n: int, p: int) -> None:
@@ -399,12 +411,9 @@ def key_min_entropy_checks(n: int, p: int, member) -> tuple:
     sizes = member.sum(axis=1)
     if not sizes.all():
         raise ValueError("empty parity-word set")
-    heads_of = _head_vectors(n)
-    # Each set's heads are summed in ascending word order, from zero; a
-    # word outside the set adds nothing, exactly as adding +0.0 would.
-    heads = np.zeros((len(member), 2**n))
-    for word in np.flatnonzero(member.any(axis=0)):
-        np.add(heads, heads_of[word], out=heads, where=member[:, word, None])
+    # einsum adds each set's heads in ascending word order from zero at any
+    # batch size; 1.0 * head is exact and a word outside the set adds a zero.
+    heads = np.einsum("sw,wx->sx", member.astype(float), _head_vectors(n))
     # The superposition is heads (x) uniform, so the first-qubit marginal
     # is heads**2 / |heads|**2: the trailing qubits sum out exactly.
     heads *= heads

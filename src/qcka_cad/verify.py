@@ -8,7 +8,9 @@ min-entropy check runs every non-empty parity set at n <= 3 and a fixed
 family at n = 4, and the sampling check takes every weight of a word.
 Every check hands a batched ``ghzsim`` kernel stacked inputs built in
 bulk: parity sets as boolean membership rows, and for each p the whole
-family of 2^(p+1) GHZ basis states as one array.
+family of 2^(p+1) GHZ basis states as one array.  The inputs that do not
+change (GHZ labels, parity-set rows, the sampling check's words) are
+cached, read-only fixtures, and each check folds all its values once.
 A check that raises surfaces as :class:`CheckError`, never as a pass, and
 a NaN among the values a check folds makes it FAIL with a NaN margin.
 """
@@ -71,32 +73,32 @@ def _fold(pick, worst: float, values) -> float:
     return float(values[pick(values)])
 
 
+@functools.lru_cache(maxsize=None)
 def _ghz_labels(p: int) -> tuple:
     """Correlation-word indices and phase bits of every p-party GHZ basis
-    state, word-major."""
+    state, word-major, as read-only arrays."""
     labels = np.arange(2 << p)
-    return labels >> 1, labels & 1
+    return ghzsim._read_only(labels >> 1), ghzsim._read_only(labels & 1)
 
 
 @_check("ghz-parity-exact")
 def check_parity_exact():
-    worst = 0.0
+    values = []
     for p in (1, 2, 3):
         words, ys = _ghz_labels(p)
         dist = ghzsim.x_basis_parity_distributions(ghzsim.ghz_states(p, words, ys))
         rows = np.arange(len(ys))
-        worst = _fold(np.argmax, worst, (np.abs(dist[rows, ys] - 1.0), dist[rows, 1 - ys]))
+        values += [np.abs(dist[rows, ys] - 1.0), dist[rows, 1 - ys]]
+    worst = _fold(np.argmax, 0.0, np.concatenate(values))
     return (worst <= 1e-12, worst,
             "max deviation of the announced parity from the phase bit")
 
 
 @_check("ghz-orthonormality")
 def check_orthonormality():
-    worst = 0.0
-    for p in (1, 2, 3):
-        basis = ghzsim.ghz_states(p, *_ghz_labels(p))
-        gram = basis.conj() @ basis.T
-        worst = _fold(np.argmax, worst, np.abs(np.abs(gram) - np.eye(len(basis))))
+    bases = [ghzsim.ghz_states(p, *_ghz_labels(p)) for p in (1, 2, 3)]
+    worst = _fold(np.argmax, 0.0, np.concatenate(
+        [np.abs(np.abs(b.conj() @ b.T) - np.eye(len(b))).ravel() for b in bases]))
     return (worst <= 1e-10, worst,
             "max deviation of pairwise inner products from identity")
 
@@ -123,11 +125,12 @@ def check_sieve_equivalence():
             "equal entry for entry at 2/3/4/6 blocks")
 
 
+@functools.lru_cache(maxsize=None)
 def _every_set(n: int) -> np.ndarray:
-    """Every non-empty set of n-bit words, as membership rows: row s - 1
-    holds the bits of s, word 0 the most significant."""
+    """Every non-empty set of n-bit words, as read-only membership rows:
+    row s - 1 holds the bits of s, word 0 the most significant."""
     masks = np.arange(1, 1 << (1 << n))
-    return (masks[:, None] >> np.arange((1 << n) - 1, -1, -1) & 1).astype(bool)
+    return ghzsim._read_only((masks[:, None] >> np.arange((1 << n) - 1, -1, -1) & 1).astype(bool))
 
 
 @functools.lru_cache(maxsize=None)
@@ -140,9 +143,8 @@ def _four_bit_family() -> np.ndarray:
     hyperplanes = [[(a & w).bit_count() % 2 == b for w in words]
                    for a in range(1, 16) for b in (0, 1)]
     subspaces = sorted({tuple(sorted({0, a, b, a ^ b})) for a in range(1, 16) for b in range(1, a)})
-    family = np.array(balls + hyperplanes + [[w in s for w in words] for s in subspaces])
-    family.setflags(write=False)
-    return family
+    sets = balls + hyperplanes + [[w in s for w in words] for s in subspaces]
+    return ghzsim._read_only(np.array(sets))
 
 
 @_check("key-min-entropy")
@@ -153,10 +155,8 @@ def check_key_min_entropy():
     every phase adds, so the margin reads rounding alone."""
     configs = [(n, p, _every_set(n)) for p in (1, 2) for n in (1, 2, 3)]
     configs.append((4, 1, _four_bit_family()))
-    worst = 0.0
-    for n, p, member in configs:
-        hmin, bound = ghzsim.key_min_entropy_checks(n, p, member)
-        worst = _fold(np.argmax, worst, np.abs(hmin - bound))
+    results = (ghzsim.key_min_entropy_checks(n, p, member) for n, p, member in configs)
+    worst = _fold(np.argmax, 0.0, np.concatenate([np.abs(h - b) for h, b in results]))
     return (worst <= 1e-9, worst,
             "max |hmin - bound| over all 546 parity sets at n <= 3 and 113 at n = 4")
 
@@ -166,17 +166,23 @@ def _sampling_bound(n_pop: int, m: int, delta: float) -> float:
     return min(math.exp(sampling.sampling_failure_log(n_pop, m, delta)), 1.0)
 
 
+@functools.lru_cache(maxsize=None)
+def _weight_words(n_pop: int) -> tuple:
+    """One N-bit word of each weight 0..N, ones first."""
+    return tuple(BitString("1" * w + "0" * (n_pop - w)) for w in range(n_pop + 1))
+
+
 @_check("sampling-exhaustive")
 def check_sampling_exhaustive():
     """The failure probability of a word depends on it only through its
     weight, so one word per weight covers every word."""
-    worst = math.inf
+    gaps = []
     for n_pop, m in ((16, 4), (20, 5), (24, 6)):
-        words = [BitString("1" * w + "0" * (n_pop - w)) for w in range(n_pop + 1)]
         for delta in (0.25, 0.4):
             bound = _sampling_bound(n_pop, m, delta)
-            fails = [sampling.empirical_sampling_failure(q, m, delta) for q in words]
-            worst = _fold(np.argmin, worst, [bound - fail for fail in fails])
+            gaps += [bound - sampling.empirical_sampling_failure(q, m, delta)
+                     for q in _weight_words(n_pop)]
+    worst = _fold(np.argmin, math.inf, gaps)
     n_pop, m, delta = 200, 50, 0.25
     bound = _sampling_bound(n_pop, m, delta)
     margin = bound - sampling.empirical_sampling_failure(BitString("01" * (n_pop // 2)), m, delta)
@@ -187,14 +193,15 @@ def check_sampling_exhaustive():
 
 @_check("sampling-roundtrip")
 def check_sampling_roundtrip():
-    worst = 0.0
+    errors = []
     for eps in (1e-6, 1e-12, 1e-36):
         for n_pop in (1000, 1_000_000):
             for m in (n_pop // 10, n_pop // 4):
                 delta = sampling.delta_from_epsilon(n_pop, m, eps)
                 log_bound = sampling.sampling_failure_log(n_pop, m, delta)
                 target = 2.0 * math.log(eps)
-                worst = _fold(np.argmax, worst, [abs(log_bound - target) / abs(target)])
+                errors.append(abs(log_bound - target) / abs(target))
+    worst = _fold(np.argmax, 0.0, errors)
     return worst <= 1e-12, worst, "max relative log-space error of the delta inverse"
 
 

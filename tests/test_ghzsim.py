@@ -437,7 +437,8 @@ class TestBatchedKernels:
 
     def test_cached_tables_are_read_only(self):
         for table in (ghzsim._direct_cells(4), ghzsim._delayed_cells(4),
-                      ghzsim._head_vectors(3), verify._four_bit_family()):
+                      ghzsim._head_vectors(3), ghzsim._parities(3), verify._four_bit_family(),
+                      verify._every_set(2), *verify._ghz_labels(2)):
             with pytest.raises(ValueError):
                 table[0] = 0
 
@@ -456,6 +457,19 @@ class TestBatchedKernels:
             tracemalloc.stop()
         assert len(hmin) == 255
         assert peak < 256_000
+
+    def test_hadamard_stays_within_the_byte_budget(self):
+        # The butterfly writes between two buffers the size of its input and
+        # scales in place: a 16-qubit row (1 MiB) peaks at about 2 MiB.
+        row = random_pure_state(16, np.random.default_rng(16)).amplitudes[None]
+        tracemalloc.start()
+        try:
+            transformed = ghzsim._hadamard(row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(transformed[0], _reference_hadamard(row[0]))
+        assert peak < 3 * row.nbytes
 
     @pytest.mark.parametrize("n, p", [(1, 1), (2, 1), (1, 4), (3, 1), (2, 2), (1, 6),
                                       (4, 1), (3, 2)])
@@ -535,6 +549,54 @@ def _rows(n, sets):
     for row, words in zip(member, sets):
         row[list(words)] = True
     return member
+
+
+def _split_fold(probs):
+    """The parity fold by ``np.split``: halve the even and odd masses one
+    qubit at a time, pairing even with odd across each split."""
+    even, odd = np.split(probs, 2, axis=1)
+    while even.shape[1] > 1:
+        (e0, e1), (o0, o1) = np.split(even, 2, axis=1), np.split(odd, 2, axis=1)
+        even, odd = e0 + o1, o0 + e1
+    return np.concatenate((even, odd), axis=1)
+
+
+def _ascending_hmin(n, member):
+    """hmin of each membership row, its heads added word by word in
+    ascending order from zero and skipping the words outside the set."""
+    heads_of = ghzsim._head_vectors(n)
+    heads = np.zeros((len(member), 2**n))
+    for word in np.flatnonzero(member.any(axis=0)):
+        np.add(heads, heads_of[word], out=heads, where=member[:, word, None])
+    heads *= heads
+    return -np.log2(heads.max(axis=1) / heads.sum(axis=1))
+
+
+class TestReductionOrder:
+    """The kernels add in the order the battery's golden margins were first
+    computed in, bit for bit, at every batch size."""
+
+    @pytest.mark.parametrize("qubits", range(1, 9))
+    def test_parity_fold_matches_the_split_fold(self, qubits):
+        rng = np.random.default_rng(100 + qubits)
+        for count in (1, 5, 33):
+            shape = (count, 1 << qubits)
+            states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            states /= np.linalg.norm(states, axis=1)[:, None]
+            transformed = np.stack([_reference_hadamard(row) for row in states])
+            assert ghzsim._hadamard(states).tobytes() == transformed.tobytes()
+            expect = _split_fold(np.abs(transformed) ** 2)
+            assert ghzsim.x_basis_parity_distributions(states).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_head_sums_match_the_ascending_loop(self, n):
+        rng = np.random.default_rng(200 + n)
+        for count in (1, 7, 300):
+            member = rng.random((count, 1 << n)) < rng.random((count, 1))
+            member[np.arange(count), rng.integers(0, 1 << n, count)] = True  # no empty set
+            hmin, bound = key_min_entropy_checks(n, 1, member)
+            assert hmin.tobytes() == _ascending_hmin(n, member).tobytes()
+            assert bound.tobytes() == (n - np.log2(member.sum(axis=1))).tobytes()
 
 
 class TestBulkInputs:
@@ -718,6 +780,21 @@ class TestBatteryMatchesSingleInputs:
             state = np.zeros(1 << (2 * blocks))
             state[original(blocks)[5, 2]] = 1.0
             assert cad_delayed_measurement_equivalence(p, rounds, StateVector(state)) == 1.0
+
+    def test_battery_folds_once_per_check(self, monkeypatch):
+        # Five checks fold their values, each once over all of them; the
+        # three GHZ checks build one GHZ family per p.
+        calls = {"_fold": 0, "ghz_states": 0}
+        for module, name in ((verify, "_fold"), (ghzsim, "ghz_states")):
+            def counted(*args, name=name, original=getattr(module, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        results = verify.selftest_checks()
+        assert [r.status for r in results] == ["PASS"] * 7
+        assert calls["_fold"] == 5
+        assert calls["ghz_states"] <= 9
 
     def test_key_min_entropy(self, monkeypatch):
         seen = _spy(monkeypatch, "key_min_entropy_checks")
