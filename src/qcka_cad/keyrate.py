@@ -27,7 +27,7 @@ Failure bookkeeping for security parameter eps:
     eps_PA    = 9*eps + 2*eps^(1/3)   (distance of the extracted key)
 
 :func:`key_length` evaluates all of this in one body, with pa and the
-entropy of the worst e_j cached per noise model; the min-entropy bound,
+entropy of the worst e_j computed once per evaluator; the min-entropy bound,
 leak_EC and the three eps constants are fields of its :class:`KeyRateReport`
 (``hmin``, ``leak_ec``, ``epsilon_prime``, ``epsilon_fail``, ``epsilon_pa``).
 The engine evaluates the closed forms of :mod:`qcka_cad.model` and
@@ -37,7 +37,6 @@ commands start without loading numpy.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from collections import namedtuple
@@ -49,7 +48,6 @@ from .sampling import delta_from_epsilon
 __all__ = ["KeyRateReport", "key_length", "optimize_m"]
 
 
-@functools.lru_cache(maxsize=256)
 def _cbrt(x: float) -> float:
     """Correctly rounded cube root of a positive finite float.
 
@@ -79,19 +77,6 @@ def _cbrt(x: float) -> float:
             return math.ldexp(y, shift)  # the root is a normal float: exact
 
 
-# key_length's terms that depend on the noise model only, computed once
-# per model: optimize_m probes one model about 80 times.
-@functools.lru_cache(maxsize=256)
-def _acceptance(z_errors: tuple) -> float:
-    return analytic_pa(z_errors)
-
-
-@functools.lru_cache(maxsize=256)
-def _leak_entropy(z_errors: tuple, error_formula: str) -> float:
-    """h of the worst post-sieve error rate, each clamped at 1/2."""
-    return binary_entropy(max(min(0.5, e) for e in postcad_error_rates(z_errors, error_formula)))
-
-
 class KeyRateReport(namedtuple("KeyRateReport", [
     "bobs", "half_signals", "test_size", "key_blocks", "epsilon",
     "x_error", "z_errors", "error_formula",
@@ -105,6 +90,44 @@ class KeyRateReport(namedtuple("KeyRateReport", [
     """
 
     __slots__ = ()
+
+
+def _check_parties(bobs: int, noise: NoiseModel) -> None:
+    if len(noise.z_errors) != bobs:
+        raise ValueError(f"noise model has {len(noise.z_errors)} Z rates for {bobs} parties")
+
+
+def _evaluator(bobs: int, half_signals: int, epsilon: float, noise: NoiseModel,
+               error_formula: str, qx: float | None = None):
+    """``probe(m, n_a=None)``: :func:`key_length` at test size m, inputs unchecked.
+
+    The terms free of m are computed once, here; a probe's floats are key_length's.
+    """
+    x_error, z_errors = noise.x_error, noise.z_errors
+    pa = analytic_pa(z_errors)
+    worst = binary_entropy(max(min(0.5, e) for e in postcad_error_rates(z_errors, error_formula)))
+    qx = analytic_qx(x_error) if qx is None else qx
+    log_2p, log_eps = math.log2(2.0 * bobs), math.log2(epsilon)
+    margin, total = 2.0 * math.log2(1.0 / epsilon), 2 * half_signals
+    eps_fail = 2.0 * _cbrt(epsilon)
+    eps_prime, eps_pa = 4.0 * epsilon + eps_fail, 9.0 * epsilon + eps_fail
+
+    def probe(m: int, n_a: int | None = None) -> KeyRateReport:
+        n = half_signals - m
+        if n_a is None:
+            n_a = min(round(pa * n), n)  # pa * n rounds up past n once n > 2**53
+        delta = delta_from_epsilon(half_signals, m, epsilon)
+        hmin = n_a * (1.0 - binary_entropy(min(0.5, (n / n_a) * (qx + delta)))) if n_a else 0.0
+        leak = n_a * worst + log_2p - log_eps
+        ell = hmin - leak - margin
+        # Positional, in field order: binding 20 keywords costs a sixth of a probe.
+        return KeyRateReport(
+            bobs, half_signals, m, n, epsilon, x_error, z_errors, error_formula,
+            delta, qx, pa, int(n_a), hmin, leak, ell, ell / total if ell > 0.0 else 0.0,
+            eps_prime, eps_fail, eps_pa, ("no accepted blocks",) if n_a == 0 else (),
+        )
+
+    return probe
 
 
 def key_length(
@@ -122,40 +145,15 @@ def key_length(
     formula on observed statistics; they must satisfy 0 <= n_a <= n for an
     integer n_a, and qx >= 0.
     """
-    if len(noise.z_errors) != params.bobs:
-        raise ValueError(
-            f"noise model has {len(noise.z_errors)} Z rates for {params.bobs} parties"
-        )
-    n, eps = params.key_blocks, params.epsilon
-    pa = _acceptance(noise.z_errors)
-    if qx is None:
-        qx = analytic_qx(noise.x_error)
-    if n_a is None:
-        n_a = min(round(pa * n), n)  # pa * n rounds up past n once n > 2**53
-    elif not isinstance(n_a, numbers.Integral):  # numpy integers register as Integral
+    _check_parties(params.bobs, noise)
+    if n_a is not None and not isinstance(n_a, numbers.Integral):  # numpy ints are Integral
         raise ValueError(f"n_a must be an integer, got {n_a!r}")
-    if not 0 <= n_a <= n:
+    if n_a is not None and not 0 <= n_a <= params.key_blocks:
         raise ValueError("need 0 <= n_a <= n")
-    if not qx >= 0.0:  # NaN too
+    if qx is not None and not qx >= 0.0:  # NaN too
         raise ValueError("qx must be nonnegative")
-
-    delta = delta_from_epsilon(params.half_signals, params.test_size, eps)
-    hmin = n_a * (1.0 - binary_entropy(min(0.5, (n / n_a) * (qx + delta)))) if n_a else 0.0
-    leak = (n_a * _leak_entropy(noise.z_errors, error_formula)
-            + math.log2(2.0 * params.bobs) - math.log2(eps))
-    ell = hmin - leak - 2.0 * math.log2(1.0 / eps)
-    rate = ell / params.total_signals if ell > 0.0 else 0.0
-    root = _cbrt(eps)
-    flags = ("no accepted blocks",) if n_a == 0 else ()
-
-    # Positional, in field order: binding 20 keywords costs a sixth of a probe.
-    return KeyRateReport(
-        params.bobs, params.half_signals, params.test_size, n, eps,
-        noise.x_error, noise.z_errors, error_formula,
-        delta, qx, pa, int(n_a), hmin, leak, ell, rate,
-        4.0 * eps + 2.0 * root, 2.0 * root, 9.0 * eps + 2.0 * root,
-        flags,
-    )
+    probe = _evaluator(params.bobs, params.half_signals, params.epsilon, noise, error_formula, qx)
+    return probe(params.test_size, n_a)
 
 
 def geometric_grid(lo: float, hi: float, num: int) -> list:
@@ -197,12 +195,14 @@ def optimize_m(
     if float(m_max) >= 2.0**63:  # test sizes stay below 2**63, as int64 counts
         raise ValueError(f"half_signals {half_signals} too large for the test-size grid")
 
+    ProtocolParams(bobs, half_signals, 1, epsilon)  # valid at m = 1, so at every m <= m_max
+    _check_parties(bobs, noise)
+    probe = _evaluator(bobs, half_signals, epsilon, noise, error_formula)
     cache: dict = {}
 
     def rate_at(m: int) -> float:
         if m not in cache:
-            params = ProtocolParams(bobs, half_signals, m, epsilon)
-            cache[m] = key_length(params, noise, error_formula=error_formula)
+            cache[m] = probe(m)
         return cache[m].rate
 
     grid = sorted({min(max(round(v), 1), m_max) for v in geometric_grid(1, m_max, 64)})

@@ -1,17 +1,19 @@
 """Tests for the finite-key length engine and the test-size optimizer."""
 
 import math
+import numbers
 import random
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from qcka_cad import keyrate
 from qcka_cad.bitcore import binary_entropy
-from qcka_cad.keyrate import (
-    KeyRateReport, _acceptance, _cbrt, _leak_entropy, geometric_grid, key_length, optimize_m,
+from qcka_cad.keyrate import KeyRateReport, _cbrt, geometric_grid, key_length, optimize_m
+from qcka_cad.protosim import (
+    NoiseModel, ProtocolParams, analytic_pa, analytic_qx, postcad_error_rates, run_trial,
 )
-from qcka_cad.protosim import NoiseModel, ProtocolParams, analytic_pa, run_trial
 from qcka_cad.sampling import delta_from_epsilon
 
 # 50-digit reference: 80 * (1 - h(0.0375)).
@@ -230,22 +232,23 @@ class TestLeakEc:
             1000 * (binary_entropy(0.01 / pa) - binary_entropy(0.01 / 0.82)), rel=1e-9
         )
 
-    def test_reports_match_with_a_cold_and_a_warm_cache(self):
-        # Interleaved formulas on one noise model: a cache keyed on the Z
-        # rates alone would hand one formula the other's leak entropy.
+    def test_interleaved_formulas_keep_their_own_leak(self):
+        # Interleaved formulas on one noise model: each report's leak_EC is
+        # its own formula's n_a * h(max e_j) + log2(2p/eps), call after call.
         noise = NoiseModel(0.05, (0.1, 0.025))
         calls = [(ProtocolParams(2, 10**6, m, 1e-36), formula)
                  for m in (10**4, 10**5)
                  for formula in ("conservative", "independent", "conservative")]
-        cold = []
-        for params, formula in calls:
-            _acceptance.cache_clear()
-            _leak_entropy.cache_clear()
-            cold.append(key_length(params, noise, error_formula=formula))
-        warm = [key_length(params, noise, error_formula=formula) for params, formula in calls]
-        assert _leak_entropy.cache_info().currsize == 2 and _acceptance.cache_info().currsize == 1
-        assert cold[0].leak_ec != cold[1].leak_ec
-        assert [repr(r) for r in warm] == [repr(r) for r in cold]
+        first = [key_length(params, noise, error_formula=formula) for params, formula in calls]
+        again = [key_length(params, noise, error_formula=formula) for params, formula in calls]
+        assert [repr(r) for r in again] == [repr(r) for r in first]
+        for (_, formula), report in zip(calls, first):
+            worst = binary_entropy(max(postcad_error_rates(noise.z_errors, formula)))
+            assert report.leak_ec == report.accepted * worst + math.log2(4.0) - math.log2(1e-36)
+        assert first[0].leak_ec > first[1].leak_ec and first[0] == first[2]
+        searches = [optimize_m(2, 10**6, 1e-36, noise, error_formula=formula)
+                    for formula in ("conservative", "independent", "conservative")]
+        assert searches[0] == searches[2] and searches[0][1].leak_ec != searches[1][1].leak_ec
 
     def test_zero_acceptance_rejected(self):
         # 0.5**1075 underflows: no block is accepted under either formula.
@@ -412,3 +415,198 @@ class TestOptimizeM:
             m = max(1, int(500_000 * frac))
             report = key_length(ProtocolParams(2, 1_000_000, m, 1e-36), noise)
             assert best.rate >= report.rate * (1.0 - 1e-6)
+
+
+# A reference engine that evaluates every term on every probe: one
+# validated ProtocolParams and one full key-length body per probe of the
+# same test-size search, so each probe and the answer must match bit for bit.
+def reference_key_length(params, noise, n_a=None, qx=None, error_formula="conservative"):
+    if len(noise.z_errors) != params.bobs:
+        raise ValueError(
+            f"noise model has {len(noise.z_errors)} Z rates for {params.bobs} parties"
+        )
+    n, eps = params.key_blocks, params.epsilon
+    pa = analytic_pa(noise.z_errors)
+    if qx is None:
+        qx = analytic_qx(noise.x_error)
+    if n_a is None:
+        n_a = min(round(pa * n), n)
+    elif not isinstance(n_a, numbers.Integral):
+        raise ValueError(f"n_a must be an integer, got {n_a!r}")
+    if not 0 <= n_a <= n:
+        raise ValueError("need 0 <= n_a <= n")
+    if not qx >= 0.0:
+        raise ValueError("qx must be nonnegative")
+
+    delta = delta_from_epsilon(params.half_signals, params.test_size, eps)
+    hmin = n_a * (1.0 - binary_entropy(min(0.5, (n / n_a) * (qx + delta)))) if n_a else 0.0
+    worst = binary_entropy(
+        max(min(0.5, e) for e in postcad_error_rates(noise.z_errors, error_formula)))
+    leak = n_a * worst + math.log2(2.0 * params.bobs) - math.log2(eps)
+    ell = hmin - leak - 2.0 * math.log2(1.0 / eps)
+    rate = ell / params.total_signals if ell > 0.0 else 0.0
+    root = _cbrt(eps)
+    flags = ("no accepted blocks",) if n_a == 0 else ()
+    return KeyRateReport(
+        params.bobs, params.half_signals, params.test_size, n, eps,
+        noise.x_error, noise.z_errors, error_formula,
+        delta, qx, pa, int(n_a), hmin, leak, ell, rate,
+        4.0 * eps + 2.0 * root, 2.0 * root, 9.0 * eps + 2.0 * root,
+        flags,
+    )
+
+
+def reference_optimize_m(bobs, half_signals, epsilon, noise, error_formula="conservative"):
+    m_max = math.ceil(half_signals / 2) - 1
+    if m_max < 1:
+        raise ValueError("half_signals too small for any valid test size")
+    if float(m_max) >= 2.0**63:
+        raise ValueError(f"half_signals {half_signals} too large for the test-size grid")
+    cache = {}
+
+    def rate_at(m):
+        if m not in cache:
+            params = ProtocolParams(bobs, half_signals, m, epsilon)
+            cache[m] = reference_key_length(params, noise, error_formula=error_formula)
+        return cache[m].rate
+
+    grid = sorted({min(max(round(v), 1), m_max) for v in geometric_grid(1, m_max, 64)})
+    for m in grid:
+        rate_at(m)
+    if all(cache[m].rate == 0.0 for m in grid):
+        mid = grid[len(grid) // 2]
+        return mid, cache[mid]._replace(flags=cache[mid].flags + ("no positive rate",))
+    best_idx = max(range(len(grid)), key=lambda i: (cache[grid[i]].rate, -grid[i]))
+    lo = grid[best_idx - 1] if best_idx > 0 else 1
+    hi = grid[best_idx + 1] if best_idx + 1 < len(grid) else m_max
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 3:
+        step = max(1, int(round(inv_phi * (hi - lo))))
+        x1, x2 = hi - step, lo + step
+        if x1 >= x2:
+            break
+        if rate_at(x1) < rate_at(x2):
+            lo = x1
+        else:
+            hi = x2
+    m_star = max(range(lo, hi + 1), key=lambda m: (rate_at(m), -m))
+    return m_star, cache[m_star]
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    """The repr of what ``fn`` returns, or the type and message of any
+    exception it raises, so that errors are compared as closely as results."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+ORACLE_SIGNALS = (3, 4, 5, 7, 10, 33, 100, 1_001, 10**4, 123_457, 10**6, 10**8, 10**10,
+                  10**12, 10**15, 2**62)
+
+
+def oracle_noises(p: int, rng: random.Random) -> list:
+    """A noiseless, a random, a zero-rate and a nearly all-rejecting model."""
+    return [NoiseModel(0.0, (0.0,) * p),
+            NoiseModel(rng.uniform(0.0, 0.12), [rng.uniform(0.0, 0.12) for _ in range(p)]),
+            NoiseModel(0.25, [rng.uniform(0.1, 0.3) for _ in range(p)]),
+            NoiseModel(0.5, (0.5,) * p)]
+
+
+class TestMatchesPerProbeReference:
+    """Bit-for-bit agreement with the per-probe engine, errors included."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8])
+    def test_seeded_grid(self, p):
+        rng = random.Random(3200 + p)
+        seen = []
+        for half, eps, formula in ((h, e, f) for h in ORACLE_SIGNALS
+                                   for e in (1e-36, 1e-10, 0.5)
+                                   for f in ("conservative", "independent")):
+            for noise in oracle_noises(p, rng):
+                args = (p, half, eps, noise)
+                seen.append(outcome(optimize_m, *args, error_formula=formula))
+                assert seen[-1] == outcome(
+                    reference_optimize_m, *args, error_formula=formula), (args, formula)
+                m_max = math.ceil(half / 2) - 1
+                if m_max < 1:
+                    continue
+                m = rng.choice((1, m_max, rng.randint(1, m_max)))
+                params = ProtocolParams(p, half, m, eps)
+                n = half - m
+                for kwargs in ({}, {"n_a": rng.randint(0, n)}, {"n_a": 0},
+                               {"qx": rng.uniform(0.0, 0.6)},
+                               {"n_a": np.int64(rng.randint(0, n)), "qx": rng.random()}):
+                    kwargs["error_formula"] = formula
+                    seen.append(outcome(key_length, params, noise, **kwargs))
+                    assert seen[-1] == outcome(
+                        reference_key_length, params, noise, **kwargs), (params, noise, kwargs)
+        # The grid reaches positive rates, searches with no positive rate and
+        # reports with no accepted block.
+        for mark in ("'no positive rate'", "'no accepted blocks'", "flags=()"):
+            assert any(mark in text for text in seen), mark
+
+    def test_invalid_inputs(self):
+        noise1, noise2 = NoiseModel(0.05, (0.05,)), NoiseModel(0.05, (0.05, 0.01))
+        rejecting = NoiseModel(0.1, (0.5,) * 1075)  # pa underflows to 0
+        searches = [
+            (1, 1, 1e-36, noise1), (1, 2, 1e-36, noise1), (1, 2**64, 1e-36, noise1),
+            (1, 2**64 - 1025, 1e-36, noise1), (0, 10**6, 1e-36, noise1),
+            (0, 10**6, 1e-36, noise2), (2, 10**6, 1e-36, noise1), (1, 10**6, 1e-36, noise2),
+            (1, 10**6, 0.0, noise1), (1, 10**6, 1.0, noise1), (1, 10**6, 5e-324, noise1),
+            (1, 10**6, math.nan, noise1), (1075, 10**6, 1e-36, rejecting),
+        ]
+        for args in searches:
+            for formula in ("conservative", "independent", "bogus"):
+                assert outcome(optimize_m, *args, error_formula=formula) == outcome(
+                    reference_optimize_m, *args, error_formula=formula), (args, formula)
+        params1 = ProtocolParams(1, 10**6, 10**5, 1e-36)
+        params2 = ProtocolParams(2, 10**6, 10**5, 1e-36)
+        formulas = ("conservative", "independent", "bogus")
+        points = [(params1, noise2, formulas), (params2, noise1, formulas),
+                  (params1, noise1, formulas), (params2, noise2, formulas),
+                  (ProtocolParams(1075, 10**6, 10**5, 1e-36), rejecting, formulas),
+                  # m * N overflows; see test_input_error_before_float_overflow.
+                  (ProtocolParams(1, 10**200, 10**150, 1e-36), noise1, formulas[:2])]
+        bad = [{}, {"n_a": -1}, {"n_a": 900_001}, {"n_a": 1.5}, {"n_a": "3"}, {"n_a": 800_000.0},
+               {"qx": -1.0}, {"qx": math.nan}, {"n_a": -1, "qx": -1.0}, {"n_a": 1.5, "qx": math.nan}]
+        for params, noise, point_formulas in points:
+            for kwargs in bad:
+                for formula in point_formulas:
+                    assert outcome(key_length, params, noise, error_formula=formula,
+                                   **kwargs) == outcome(reference_key_length, params, noise,
+                                                        error_formula=formula, **kwargs), (
+                        params, noise, kwargs, formula)
+
+    def test_input_error_before_float_overflow(self):
+        # The formula and pa are checked once per evaluator, before any
+        # probe, so an unknown formula is reported ahead of a test size
+        # whose m * N overflows a float (the per-probe engine reported the
+        # overflow).
+        params = ProtocolParams(1, 10**200, 10**150, 1e-36)
+        noise = NoiseModel(0.05, (0.05,))
+        with pytest.raises(ValueError, match="^unknown post-sieve error formula 'bogus'$"):
+            key_length(params, noise, error_formula="bogus")
+        with pytest.raises(ValueError, match="^sample size times population overflows a float$"):
+            key_length(params, noise)
+
+
+class TestStructure:
+    def test_one_protocol_params_per_search(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return ProtocolParams(*args, **kwargs)
+
+        noise = NoiseModel(0.05, (0.05, 0.0125))
+        expect = optimize_m(2, 10**7, 1e-36, noise)
+        monkeypatch.setattr(keyrate, "ProtocolParams", counted)
+        for _ in range(3):
+            assert optimize_m(2, 10**7, 1e-36, noise) == expect
+        assert len(built) == 3
+
+    def test_no_lru_caches(self):
+        cached = [name for name, value in vars(keyrate).items() if hasattr(value, "cache_info")]
+        assert cached == []
